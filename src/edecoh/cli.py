@@ -241,14 +241,24 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     geom = IntersectingGeometry(L1=args.L1, L2=args.L2, theta=args.theta, v=args.v)
     wp = _wavepacket(args)
     cfg = _quad_cfg(args)
+    sweep = [_scaled(wp, f) for f in (0.01, 0.1, 1.0, 10.0, 100.0)] if args.ell_sweep else []
+    if args.branch == "assembled":
+        # the numeric I_aa cuts off at flight time ell/v, inside the short
+        # arm's flight time L1/v; check the whole sweep before any work
+        for scaled in sweep:
+            ell = characteristic_length(scaled)
+            if not ell / geom.v < geom.L1 / geom.v:
+                raise ValueError(
+                    f"--ell-sweep reaches ell = {_fmt(ell)}, not below L1 = {_fmt(geom.L1)}; "
+                    "the assembled branch needs ell < L1"
+                )
     stream = _OutStream(args.out)
     try:
         if not args.ell_sweep:
             _print_result(stream, w_total_intersecting(geom, wp, cfg, branch=args.branch))
             return 0
         stream.line("ell,w_vacuum,w_photon,w_total")
-        for factor in (0.01, 0.1, 1.0, 10.0, 100.0):
-            scaled = _scaled(wp, factor)
+        for scaled in sweep:
             res = w_total_intersecting(geom, scaled, cfg, branch=args.branch)
             stream.line(
                 f"{_fmt(characteristic_length(scaled))},{_fmt(res.w_vacuum)},"
@@ -509,7 +519,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument(
         "--ell-sweep",
         action="store_true",
-        help="scale the wavepacket by 1e-2..1e2 and emit a CSV sweep",
+        help="scale the wavepacket by 1e-2..1e2 and emit a CSV sweep; the "
+        "assembled branch needs every swept ell below L1",
     )
     p.set_defaults(func=cmd_intersect)
     subparsers["intersect"] = p

@@ -3,6 +3,12 @@
 One-dimensional integrals use a globally adaptive Gauss-Kronrod 7/15 scheme:
 the worst panel (largest Gauss-vs-Kronrod discrepancy) is bisected until the
 summed error estimate meets tolerance or the subdivision budget runs out.
+One private driver runs that loop on many independent integrals in lockstep:
+each keeps its own panels, tolerance and budget, so it refines exactly as it
+would alone, but every round evaluates the new panels of all unfinished
+integrals with a single integrand call.  A plain integral is the batch of
+one; the pieces of a principal value and the azimuthal integrals of the
+cylinder shape constant are batches of many.
 
 Principal values are computed by symmetric excision.  For each interior pole p
 a shrinking sequence of half-widths eps_0 > eps_1 > ... is excised; the two
@@ -12,9 +18,7 @@ the partial results are extrapolated to eps -> 0 with a Neville tableau.
 For a simple pole the excision error is an odd power series in eps, so the
 extrapolation converges far faster than the raw sequence.
 
-Multi-dimensional integrals (n = 2, 3) are iterated one-dimensional integrals;
-a direction flagged periodic uses an equal-weight rule with point doubling and
-falls back to the adaptive scheme if the integrand is not smooth enough.
+Multi-dimensional integrals (n = 2, 3) are iterated one-dimensional integrals.
 
 Integrands are called with numpy arrays of abscissae; plain scalar callables
 are detected and looped over transparently.  Non-finite integrand values at
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -168,19 +172,80 @@ class _Integrand:
         return np.where(np.isfinite(y), y, 0.0)
 
 
-def _panels(F: _Integrand, edges: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """Evaluate Gauss-Kronrod on each [edges[i], edges[i+1]] in one batch."""
-    los, his = edges[:-1], edges[1:]
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    nodes = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    y = F(nodes).reshape(len(los), _XK.size)
-    vals = half * (y @ _WK)
-    errs = np.abs(vals - half * (y[:, 1::2] @ _WG))
-    return [
-        (float(lo), float(hi), float(v), float(e))
-        for lo, hi, v, e in zip(los, his, vals, errs)
-    ]
+def _tolerance(rel_tol: float, abs_tol: float) -> Callable[[float], float]:
+    return lambda value: max(abs_tol, rel_tol * abs(value))
+
+
+def _adapt_many(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    meshes: Sequence[Sequence[float]],
+    cfgs: Sequence[tuple[Callable[[float], float], int]],
+) -> list[IntegrationResult]:
+    """Globally adaptive Gauss-Kronrod on independent integrals in lockstep.
+
+    Integral i starts from the sorted edges meshes[i] and refines under
+    cfgs[i] = (tolerance, max_subdivisions), tolerance(value) being the error
+    it may keep at its running value, with its own heap, so it makes exactly
+    the decisions it would make alone: while the summed error exceeds the
+    tolerance and the split budget lasts, bisect the worst panel,
+    freezing panels too narrow to split or with zero error.  Each round
+    evaluates the new panels of every unfinished integral with one call
+    evaluate(x, owner), where owner[j] is the index of the integral that
+    abscissa x[j] belongs to.  Non-finite values count as zero.  A result's
+    evaluations are its abscissae.
+    """
+    n = len(meshes)
+    heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in range(n)]
+    frozen: list[list[tuple[float, float]]] = [[] for _ in range(n)]  # unsplittable panels
+    splits = [0] * n
+    evals = [0] * n
+    results: dict[int, IntegrationResult] = {}
+    tick = 0
+
+    # panels awaiting evaluation: owner, lower and upper edge
+    owners = [i for i, m in enumerate(meshes) for _ in range(len(m) - 1)]
+    los = [float(lo) for m in meshes for lo in m[:-1]]
+    his = [float(hi) for m in meshes for hi in m[1:]]
+    while owners:
+        lo_a, hi_a = np.array(los), np.array(his)
+        centre = 0.5 * (lo_a + hi_a)
+        half = 0.5 * (hi_a - lo_a)
+        nodes = (centre[:, None] + half[:, None] * _XK[None, :]).ravel()
+        with np.errstate(all="ignore"):
+            y = np.asarray(evaluate(nodes, np.repeat(owners, _XK.size)), dtype=float)
+        y = _Integrand._finite(y).reshape(len(owners), _XK.size)
+        vals = half * (y @ _WK)
+        errs = np.abs(vals - half * (y[:, 1::2] @ _WG))
+        for i, lo, hi, v, e in zip(owners, los, his, vals.tolist(), errs.tolist()):
+            heapq.heappush(heaps[i], (-e, tick, lo, hi, v, e))
+            tick += 1
+            evals[i] += _XK.size
+
+        # each integral that is still open bisects at most one panel per round
+        active = dict.fromkeys(owners)
+        owners, los, his = [], [], []
+        for i in active:
+            heap = heaps[i]
+            tolerance, budget = cfgs[i]
+            while True:
+                total_v = math.fsum(h[4] for h in heap) + math.fsum(v for v, _ in frozen[i])
+                total_e = math.fsum(h[5] for h in heap) + math.fsum(e for _, e in frozen[i])
+                converged = total_e <= tolerance(total_v)
+                if converged or splits[i] >= budget or not heap:
+                    results[i] = IntegrationResult(total_v, total_e, evals[i], converged)
+                    break
+                _, _, lo, hi, v, e = heapq.heappop(heap)
+                width_floor = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+                if hi - lo <= width_floor or e == 0.0:
+                    frozen[i].append((v, e))
+                    continue
+                mid = 0.5 * (lo + hi)
+                owners += [i, i]
+                los += [lo, mid]
+                his += [mid, hi]
+                splits[i] += 1
+                break
+    return [results[i] for i in range(n)]
 
 
 def integrate_1d(
@@ -210,40 +275,12 @@ def integrate_1d(
     edges = [a, b]
     if breakpoints:
         edges += [float(p) for p in breakpoints if a < p < b]
-    panels = _panels(F, np.array(sorted(set(edges))))
-
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    tick = 0
-    for lo, hi, v, e in panels:
-        heap.append((-e, tick, lo, hi, v, e))
-        tick += 1
-    heapq.heapify(heap)
-    frozen: list[tuple[float, float]] = []  # (value, error) of unsplittable panels
-
-    splits = 0
-    converged = False
-    while True:
-        total_v = math.fsum(h[4] for h in heap) + math.fsum(v for v, _ in frozen)
-        total_e = math.fsum(h[5] for h in heap) + math.fsum(e for _, e in frozen)
-        if total_e <= cfg.tolerance(total_v):
-            converged = True
-            break
-        if splits >= cfg.max_subdivisions or not heap:
-            break
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        width_floor = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
-        if hi - lo <= width_floor or e == 0.0:
-            frozen.append((v, e))
-            continue
-        mid = 0.5 * (lo + hi)
-        for plo, phi, pv, pe in _panels(F, np.array([lo, mid, hi])):
-            heapq.heappush(heap, (-pe, tick, plo, phi, pv, pe))
-            tick += 1
-        splits += 1
-
-    value = math.fsum(h[4] for h in heap) + math.fsum(v for v, _ in frozen)
-    err = math.fsum(h[5] for h in heap) + math.fsum(e for _, e in frozen)
-    return IntegrationResult(value, err, F.evaluations, converged)
+    (res,) = _adapt_many(
+        lambda x, _owner: F(x),
+        [sorted(set(edges))],
+        [(cfg.tolerance, cfg.max_subdivisions)],
+    )
+    return res
 
 
 def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -324,102 +361,70 @@ def pv_integrate_1d(
 
     # sub-integrals must be much tighter than the requested PV tolerance,
     # otherwise their accumulated noise dominates the final estimate
-    piece_cfg = replace(
-        cfg,
-        rel_tol=max(cfg.rel_tol * 1e-3, 4.0 * np.finfo(float).eps),
-        abs_tol=cfg.abs_tol * 1e-2,
-    )
-
+    piece_rel = max(cfg.rel_tol * 1e-3, 4.0 * np.finfo(float).eps)
+    piece_abs = cfg.abs_tol * 1e-2
     F = _Integrand(f)
-    evaluations = 0
-    piece_err = 0.0
-    all_ok = True
-
-    def run(g: Callable, lo: float, hi: float, sub_cfg: QuadratureConfig) -> float:
-        nonlocal evaluations, piece_err, all_ok
-        res = integrate_1d(g, lo, hi, sub_cfg)
-        evaluations += res.evaluations
-        piece_err += res.error_estimate
-        all_ok = all_ok and res.converged
-        return res.value
 
     # region outside the largest excisions
     edges = [a]
     for p, e in zip(interior, eps):
         edges += [p - e[0], p + e[0]]
     edges.append(b)
-    base = math.fsum(
-        run(F, lo, hi, piece_cfg) for lo, hi in zip(edges[::2], edges[1::2])
-    )
+    meshes = list(zip(edges[::2], edges[1::2]))
+    cfgs = [(_tolerance(piece_rel, piece_abs), cfg.max_subdivisions)] * len(meshes)
+    n_base = len(meshes)
 
     # shells between consecutive excision radii, symmetrised about each pole.
     # The symmetrised integrand is a difference of two near-singular values,
     # so its achievable absolute accuracy is bounded by machine epsilon times
     # the magnitude of the cancelling terms; the shell tolerance honours that.
     n_stage = len(seq)
+    widths = np.array(eps)
+    outer_r, inner_r = widths[:, :-1], widths[:, 1:]  # shell (i, k) spans eps_k..eps_{k-1}
+    at = np.array(interior)[:, None]
+    probes = np.stack([at - outer_r, at - inner_r, at + inner_r, at + outer_r], axis=-1)
+    mags = np.abs(F(probes.ravel())).reshape(probes.shape).max(axis=-1)
+    floors = 64.0 * np.finfo(float).eps * mags * (outer_r - inner_r)
+    meshes += zip(inner_r.ravel().tolist(), outer_r.ravel().tolist())
+    cfgs += [
+        (_tolerance(piece_rel, max(piece_abs, fl)), cfg.max_subdivisions)
+        for fl in floors.ravel().tolist()
+    ]
+    shell_pole = np.repeat(interior, n_stage - 1)
+
+    def evaluate(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        fold = owner >= n_base
+        p, t = shell_pole[owner[fold] - n_base], x[fold]
+        y = F(np.concatenate([x[~fold], p + t, p - t]))
+        out = np.empty_like(x)
+        n = x.size - t.size
+        out[~fold] = y[:n]
+        out[fold] = y[n:n + t.size] + y[n + t.size:]
+        return out
+
+    results = _adapt_many(evaluate, meshes, cfgs)
+    piece_err = sum(res.error_estimate for res in results)
+    all_ok = all(res.converged for res in results)
+    base = math.fsum(res.value for res in results[:n_base])
     shells = np.zeros((len(interior), n_stage))  # shells[:,0] stays zero
-    for i, (p, e) in enumerate(zip(interior, eps)):
-        sym = lambda t, _p=p: F(_p + t) + F(_p - t)
-        for k in range(1, n_stage):
-            probe = np.array([p - e[k - 1], p - e[k], p + e[k], p + e[k - 1]])
-            mag = float(np.max(np.abs(F(probe))))
-            floor = 64.0 * np.finfo(float).eps * mag * (e[k - 1] - e[k])
-            shell_cfg = replace(piece_cfg, abs_tol=max(piece_cfg.abs_tol, floor))
-            shells[i, k] = run(sym, e[k], e[k - 1], shell_cfg)
+    shells[:, 1:] = np.reshape([res.value for res in results[n_base:]], outer_r.shape)
 
     stage_vals = base + np.cumsum(shells.sum(axis=0))
     value, extrap_err = _neville_to_zero(shrink, stage_vals)
     err = extrap_err + piece_err
     converged = all_ok and err <= cfg.tolerance(value)
-    return IntegrationResult(value, err, evaluations, converged)
-
-
-def _integrate_periodic(
-    f: Callable, a: float, b: float, cfg: QuadratureConfig, n_max: int = 1024
-) -> IntegrationResult:
-    """Equal-weight rule over one period with point doubling.
-
-    Spectrally accurate for smooth periodic integrands; falls back to the
-    adaptive scheme when doubling stalls (kinked integrands).
-    """
-    F = _Integrand(f)
-    h = (b - a) / 8.0
-    x = a + h * np.arange(8)
-    total = float(F(x).sum())
-    value = h * total
-    n = 8
-    err = math.inf
-    while n < n_max:
-        xnew = a + (b - a) * (np.arange(n) + 0.5) / n
-        total += float(F(xnew).sum())
-        n *= 2
-        h = (b - a) / n
-        new_value = h * total
-        err = abs(new_value - value)
-        value = new_value
-        if n >= 32 and err <= cfg.tolerance(value):
-            return IntegrationResult(value, err, F.evaluations, True)
-    fallback = integrate_1d(f, a, b, cfg)
-    return IntegrationResult(
-        fallback.value,
-        fallback.error_estimate,
-        F.evaluations + fallback.evaluations,
-        fallback.converged,
-    )
+    return IntegrationResult(value, err, F.evaluations, converged)
 
 
 def integrate_nd(
     f: Callable,
     box: Sequence[tuple[float, float]],
     cfg: QuadratureConfig | None = None,
-    *,
-    periodic: Sequence[bool] | None = None,
 ) -> IntegrationResult:
     """Iterated adaptive integral over an n-box, n in {2, 3}.
 
     f is called as f(x0, ..., x_{n-1}) with the innermost coordinate batched
-    as an array (scalar callables are looped).  Dimensions flagged in
-    `periodic` use the equal-weight periodic rule.  Integrable logarithmic
+    as an array (scalar callables are looped).  Integrable logarithmic
     singularities on lower-dimensional sets are acceptable: the adaptive
     refinement grades the mesh around them.
     """
@@ -427,52 +432,57 @@ def integrate_nd(
     n = len(box)
     if n not in (2, 3):
         raise ValueError("integrate_nd supports n = 2 or 3")
-    per = list(periodic) if periodic is not None else [False] * n
-    if len(per) != n:
-        raise ValueError("periodic flag list must match box dimension")
+
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError("box sides need finite bounds lo <= hi")
+    outer_measure = 1.0
+    for lo, hi in box[:-1]:
+        outer_measure *= hi - lo
 
     evals = [0]
     inner_errs: list[float] = []
     inner_ok = [True]
+
+    def inner_error() -> float:
+        mean_inner = sum(inner_errs) / len(inner_errs) if inner_errs else 0.0
+        return mean_inner * outer_measure
+
+    def top_tolerance(value: float) -> float:
+        # the reported error adds the inner errors to the top level's, so the
+        # top level may keep what they leave of the tolerance, and no less
+        # than half of it: beyond that refining the top level cannot help
+        tol = cfg.tolerance(value)
+        return max(tol - inner_error(), 0.5 * tol)
+
     # deeper levels run tighter so their noise stays below the outer estimate
-    cfgs = [
-        replace(cfg, rel_tol=cfg.rel_tol * 0.1 ** lvl, abs_tol=cfg.abs_tol * 0.1 ** lvl)
-        for lvl in range(n)
+    tolerances = [top_tolerance] + [
+        _tolerance(cfg.rel_tol * 0.1 ** lvl, cfg.abs_tol * 0.1 ** lvl) for lvl in range(1, n)
     ]
 
     def level_integral(level: int, fixed: tuple[float, ...]) -> IntegrationResult:
-        lo, hi = box[level]
         if level == n - 1:
             def g(t):
                 return f(*fixed, t)
-            res = (
-                _integrate_periodic(g, lo, hi, cfgs[level])
-                if per[level]
-                else integrate_1d(g, lo, hi, cfgs[level])
-            )
+        else:
+            def g(x):
+                xs = np.atleast_1d(np.asarray(x, dtype=float))
+                out = np.array(
+                    [level_integral(level + 1, fixed + (float(xi),)).value for xi in xs]
+                )
+                return out if np.ndim(x) else float(out[0])
+
+        G = _Integrand(g)
+        (res,) = _adapt_many(
+            lambda x, _owner: G(x), [box[level]], [(tolerances[level], cfg.max_subdivisions)]
+        )
+        if level == n - 1:
             evals[0] += res.evaluations
             inner_errs.append(res.error_estimate)
             inner_ok[0] = inner_ok[0] and res.converged
-            return res
-
-        def g(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array(
-                [level_integral(level + 1, fixed + (float(xi),)).value for xi in xs]
-            )
-            return out if np.ndim(x) else float(out[0])
-
-        return (
-            _integrate_periodic(g, lo, hi, cfgs[level])
-            if per[level]
-            else integrate_1d(g, lo, hi, cfgs[level])
-        )
+        return res
 
     top = level_integral(0, ())
-    outer_measure = 1.0
-    for lo, hi in box[:-1]:
-        outer_measure *= hi - lo
-    mean_inner = sum(inner_errs) / len(inner_errs) if inner_errs else 0.0
-    err = top.error_estimate + mean_inner * outer_measure
+    err = top.error_estimate + inner_error()
     converged = top.converged and inner_ok[0] and err <= cfg.tolerance(top.value)
     return IntegrationResult(top.value, err, evals[0], converged)

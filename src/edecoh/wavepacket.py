@@ -41,7 +41,7 @@ the independent oracle for the quadrature path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -49,7 +49,8 @@ import numpy as np
 from .quadrature import (
     IntegrationResult,
     QuadratureConfig,
-    integrate_1d,
+    _adapt_many,
+    _tolerance,
     integrate_nd,
     require_converged,
 )
@@ -177,26 +178,24 @@ _CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9, max_subdivisions=4096)
 
 def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     r_over_ell = 1.0 / max(2.0, beta)
-    phi_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
+    phi_mesh = (0.0, *_PHI_BREAKPOINTS, math.pi)
+    phi_cfg = (_tolerance(cfg.rel_tol * 1e-2, cfg.abs_tol * 1e-2), cfg.max_subdivisions)
     evals = [0]
     ok = [True]
 
     def transverse(r1, r2):
-        # inner azimuthal integral per scaled radius pair; the half-range
-        # [0, pi] doubles by the phi -> 2 pi - phi symmetry
+        # inner azimuthal integrals of all radius pairs (r1, r2[i]), refined
+        # in lockstep; the half-range [0, pi] doubles by the phi -> 2 pi - phi
+        # symmetry
         r2s = np.atleast_1d(np.asarray(r2, dtype=float))
-        out = np.empty_like(r2s)
-        for i, r2i in enumerate(r2s):
-            res = integrate_1d(
-                lambda phi: cylinder_F(r1, r2i, phi, beta, r_over_ell),
-                0.0,
-                math.pi,
-                phi_cfg,
-                breakpoints=_PHI_BREAKPOINTS,
-            )
-            evals[0] += res.evaluations
-            ok[0] = ok[0] and res.converged
-            out[i] = 2.0 * res.value * r1 * r2i
+        results = _adapt_many(
+            lambda phi, owner: cylinder_F(r1, r2s[owner], phi, beta, r_over_ell),
+            [phi_mesh] * r2s.size,
+            [phi_cfg] * r2s.size,
+        )
+        evals[0] += sum(res.evaluations for res in results)
+        ok[0] = ok[0] and all(res.converged for res in results)
+        out = np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, r2s)])
         return out if np.ndim(r2) else float(out[0])
 
     outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], cfg)

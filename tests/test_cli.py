@@ -152,6 +152,17 @@ class TestIntersectCommand:
         ells = [float(line.split(",")[0]) for line in lines[1:]]
         assert ells == sorted(ells)
 
+    def test_assembled_ell_sweep_reaching_L1_exits_2_before_any_work(self, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("the sweep ran before it was validated")
+
+        monkeypatch.setattr("edecoh.cli.w_total_intersecting", explode)
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--ell-sweep"])
+        assert rc == 2
+        assert out == ""
+        # the sweep's x100 factor takes the default ell = 1 to L1 = 100
+        assert "ell = 100" in err and "L1 = 100" in err
+
     def test_assembled_branch_agrees_with_closed(self, capsys):
         rc_c, out_c, _ = _run(capsys, ["intersect"])
         rc_a, out_a, _ = _run(capsys, ["intersect", "--branch", "assembled"])

@@ -17,6 +17,7 @@ from edecoh.quadrature import (
     PoleOnBoundaryError,
     PoleSeparationError,
     QuadratureConfig,
+    _adapt_many,
     integrate_1d,
     integrate_nd,
     pv_integrate_1d,
@@ -164,6 +165,20 @@ class TestPrincipalValue:
         combined = pv(lambda x: f(x) + scale * g(x))
         assert combined == pytest.approx(pv(f) + scale * pv(g), abs=5e-9)
 
+    @pytest.mark.parametrize("poles", [[0.0], [-0.5, 1.2]])
+    def test_reports_every_integrand_evaluation(self, poles):
+        # base pieces, both halves of every folded shell and the excision
+        # probes all count
+        seen = [0]
+
+        def f(x):
+            seen[0] += np.size(x)
+            return np.exp(x) / np.prod([x - p for p in poles], axis=0)
+
+        res = pv_integrate_1d(f, -1.0, 2.0, poles, CFG)
+        assert res.converged
+        assert res.evaluations == seen[0]
+
     def test_pv_against_analytic_family(self):
         # PV of 1/(x-p) on [0,1] is ln((1-p)/p)
         for p in (0.1, 0.25, 0.9):
@@ -242,12 +257,50 @@ class TestIntegrateNd:
             lambda x, t: x * (1.0 + 0.3 * np.cos(t)),
             [(0, 1), (0, 2 * math.pi)],
             CFG,
-            periodic=[False, True],
         )
+        assert res.converged
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             integrate_nd(lambda x: x, [(0, 1)], CFG)
-        with pytest.raises(ValueError):
-            integrate_nd(lambda x, y: x, [(0, 1), (0, 1)], CFG, periodic=[True])
+
+
+class TestLockstep:
+    def test_batch_matches_batches_of_one(self):
+        # smooth, log-endpoint, folded principal-value shell, and one that
+        # runs out of its split budget
+        p = 0.3
+        f = lambda x: np.exp(x) / (x - p)
+        tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
+        cases = [  # (integrand, initial mesh, (tolerance, max_subdivisions))
+            (lambda x: np.exp(-x) * np.cos(3.0 * x), (0.0, 2.0), (CFG.tolerance, 4096)),
+            (np.log, (0.0, 1e-4, 1e-2, 1.0), (CFG.tolerance, 4096)),
+            (lambda t: f(p + t) + f(p - t), (1e-3, 0.2), (tight.tolerance, 4096)),
+            (lambda x: np.log(x) ** 2, (0.0, 1.0), (CFG.tolerance, 2)),
+        ]
+
+        def run(selected):
+            calls = [0]
+
+            def evaluate(x, owner):
+                calls[0] += 1
+                out = np.empty_like(x)
+                for j, (g, _, _) in enumerate(selected):
+                    out[owner == j] = g(x[owner == j])
+                return out
+
+            results = _adapt_many(evaluate, [c[1] for c in selected], [c[2] for c in selected])
+            return results, calls[0]
+
+        batch, batch_calls = run(cases)
+        assert [res.converged for res in batch] == [True, True, True, False]
+        rounds = []
+        for case, res in zip(cases, batch):
+            (alone,), calls = run([case])
+            rounds.append(calls)
+            assert res.evaluations == alone.evaluations
+            assert res.converged == alone.converged
+            assert res.value == pytest.approx(alone.value, rel=1e-14, abs=1e-300)
+        # one integrand call per refinement round, shared by the whole batch
+        assert batch_calls == max(rounds)

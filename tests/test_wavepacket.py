@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edecoh.quadrature import QuadratureConfig, integrate_nd
+from edecoh.quadrature import QuadratureConfig, integrate_1d, integrate_nd
 from edecoh.wavepacket import (
     DomainError,
     KappaResult,
@@ -186,6 +186,23 @@ class TestKappa:
         slope_right = (k[0.1] - k[0.0]) / 0.1
         jump = slope_right - slope_left
         assert -1.4 < jump < -0.6
+
+    def test_converges_where_the_top_level_took_the_whole_tolerance(self):
+        # beta = 0.16546 once missed its tolerance by 1%: the top level of the
+        # nested quadrature converged on the whole tolerance, and the inner
+        # error was then added on top.
+        # Reference: kappa = 2 int_0^2 P(b) F(b) db with the disk-line-picking
+        # density P (Solomon 1978); F at b comes from rho = rho' = b/2, phi = pi.
+        beta = 0.16546
+        res = kappa(UniformCylinder(1.0, beta))
+
+        def pair_density_weighted_F(b):
+            P = (4.0 * b / math.pi) * (np.arccos(b / 2) - (b / 2) * np.sqrt(1.0 - b * b / 4))
+            return P * cylinder_F(b / 2, b / 2, math.pi, beta, 0.5)
+
+        ref = integrate_1d(pair_density_weighted_F, 0.0, 2.0, QuadratureConfig(rel_tol=1e-13))
+        assert ref.converged
+        assert abs(res.kappa - 2.0 * ref.value) <= res.error_estimate
 
     def test_seed_determinism(self):
         a = kappa_bruteforce_oracle(UniformSphere(1.0), samples=50_000, seed=9)
