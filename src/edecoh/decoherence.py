@@ -46,6 +46,7 @@ from .kernels import (
     RegimeWarning,
     SegmentPairInput,
     kernel_K_closed,
+    require_finite,
     segment_I_aa,
     segment_I_ab,
     segment_I_bb,
@@ -101,6 +102,7 @@ class ParallelGeometry:
     v: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "r0", "T", "v")
         if not self.r0 > 0.0:
             raise ValueError("r0 must be positive")
         if not self.T > 0.0:
@@ -119,6 +121,7 @@ class IntersectingGeometry:
     v: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "L1", "L2", "theta", "v")
         if not self.L1 > 0.0:
             raise ValueError("L1 must be positive")
         if not self.L2 > self.L1:

@@ -40,12 +40,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
 
 from .quadrature import (
     IntegrationResult,
     NonConvergenceError,
-    PoleOnBoundaryError,
     QuadratureConfig,
+    _on_boundary,
+    _pv_many,
     integrate_1d,
     pv_integrate_1d,
 )
@@ -77,6 +81,13 @@ class RegimeWarning(UserWarning):
     """Input is valid but outside the regime the closed forms assume."""
 
 
+def require_finite(obj: object, *names: str) -> None:
+    """Reject non-finite fields, which would pass every ordering check."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class KernelInput:
     """Flight time and transverse separation for the coincident kernel."""
@@ -85,6 +96,7 @@ class KernelInput:
     rho: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "T", "rho")
         if not self.T > 0.0:
             raise ValueError("flight time T must be positive")
         if not self.rho > 0.0:
@@ -109,6 +121,7 @@ class SegmentPairInput:
     theta: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "L1", "L2", "ell", "v", "theta")
         for name in ("L1", "L2", "ell"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -211,7 +224,8 @@ def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
 # a smooth function except for integrable log spikes where a pole crosses
 # the inner boundary.  These are validation oracles for closed forms that
 # themselves carry O(v ln v) truncation, so the outer tolerance is set for
-# ~1e-4 relative accuracy; tightening it buys nothing and costs minutes.
+# ~1e-4 relative accuracy; tightening it multiplies the inner work, which
+# _I_NUMERIC_MAX_EVALS caps.
 _I_NUMERIC_CFG = QuadratureConfig(
     rel_tol=3e-5,
     abs_tol=1e-8,
@@ -219,26 +233,66 @@ _I_NUMERIC_CFG = QuadratureConfig(
     excision_sequence=tuple(0.5**k for k in range(1, 9)),
 )
 
-
-def _pv_inner(f, lo: float, hi: float, poles, cfg: QuadratureConfig) -> IntegrationResult:
-    try:
-        return pv_integrate_1d(f, lo, hi, poles, cfg)
-    except PoleOnBoundaryError:
-        # outer quadrature node landed exactly on a pole-crossing; nudge
-        # the window rather than the physics (integrable in the outer var)
-        shift = 4e-12 * (hi - lo)
-        return pv_integrate_1d(f, lo + shift, hi - shift, poles, cfg)
+# inner integrand evaluations one numeric I_aa or I_ab may spend; the
+# default V geometry spends 1.3M on I_aa and 0.3M on I_ab
+_I_NUMERIC_MAX_EVALS = 20_000_000
 
 
-def _oracle_result(outer: IntegrationResult, inner_err: float, measure: float, what: str) -> float:
-    total_err = outer.error_estimate + inner_err * measure
-    if not math.isfinite(outer.value):
+def _double_pv(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    poles: Callable[[np.ndarray], np.ndarray],
+    inner: tuple[float, float],
+    outer: tuple[float, float],
+    breakpoints: tuple[float, ...],
+    cfg: QuadratureConfig,
+    what: str,
+) -> float:
+    """Outer adaptive integral over t of the inner principal value over t'.
+
+    g(t, t') is the integrand and poles(t) the (nodes, poles) array of the
+    inner poles at outer nodes t.  Each refinement round of the outer
+    integral computes the inner PVs of all its nodes in one _pv_many batch.
+    Raises NonConvergenceError once the inner PVs have spent
+    _I_NUMERIC_MAX_EVALS evaluations, or when the outer error plus the mean
+    inner error over the outer range exceeds 1% of the value.
+    """
+    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 0.1, 1e-9))
+    lo, hi = inner
+    # an outer node that lands exactly on a pole crossing puts the pole on
+    # the inner boundary; nudge that node's window rather than the physics
+    # (integrable in the outer variable)
+    shift = 4e-12 * (hi - lo)
+    inner_errs: list[float] = []
+    spent = 0
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        pole_sets = poles(ts).tolist()
+        windows = [
+            (lo + shift, hi - shift) if any(_on_boundary(lo, hi, p) for p in ps) else (lo, hi)
+            for ps in pole_sets
+        ]
+        results = _pv_many(lambda x, owner: g(ts[owner], x), windows, pole_sets, inner_cfg)
+        spent += sum(res.evaluations for res in results)
+        if spent > _I_NUMERIC_MAX_EVALS:
+            raise NonConvergenceError(
+                f"{what}: inner principal values took {spent} evaluations, over the "
+                f"budget of {_I_NUMERIC_MAX_EVALS}"
+            )
+        inner_errs.extend(res.error_estimate for res in results)
+        return np.reshape([res.value for res in results], np.shape(t))
+
+    res = integrate_1d(integrand, *outer, cfg, breakpoints=breakpoints or None)
+    mean_inner = sum(inner_errs) / max(len(inner_errs), 1)
+    total_err = res.error_estimate + mean_inner * (outer[1] - outer[0])
+    if not math.isfinite(res.value):
         raise NonConvergenceError(f"{what}: non-finite value")
-    if total_err > max(0.01 * abs(outer.value), 1e-9):
+    if total_err > max(0.01 * abs(res.value), 1e-9):
         raise NonConvergenceError(
             f"{what}: error estimate {total_err:.2e} exceeds the oracle budget"
         )
-    return outer.value
+    return res.value
 
 
 def segment_I_aa(
@@ -261,30 +315,25 @@ def segment_I_aa(
         return math.log(inp.ell * s * s / inp.L1) + 2.0 * (math.log(2.0) - 1.0)
     if method != "numeric":
         raise ValueError(f"unknown method: {method!r}")
-    cfg = cfg or _I_NUMERIC_CFG
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 0.1, 1e-9))
+    if 1.0 - s == 1.0 + s:
+        raise ValueError(
+            f"v sin(theta) = {s:.3g} is too small for the two I_aa poles to be distinct"
+        )
     c = inp.ell / inp.v if cutoff is None else cutoff
     T1 = inp.T1
     if not 0.0 < c < T1:
         raise ValueError("cutoff must lie in (0, T1)")
-    inner_errs: list[float] = []
 
-    def inner(t: float) -> float:
-        t = float(t)
+    def g(t, tp):
+        return 1.0 / ((t - tp) ** 2 - s * s * (t + tp) ** 2)
 
-        def g(tp):
-            return 1.0 / ((t - tp) ** 2 - s * s * (t + tp) ** 2)
-
-        res = _pv_inner(g, c, T1, [t * (1.0 - s) / (1.0 + s), t * (1.0 + s) / (1.0 - s)], inner_cfg)
-        inner_errs.append(res.error_estimate)
-        return res.value
+    def poles(t):
+        return np.stack([t * (1.0 - s) / (1.0 + s), t * (1.0 + s) / (1.0 - s)], axis=-1)
 
     # pole-crossing locations in the outer variable
     crossings = [c * (1.0 + s) / (1.0 - s), T1 * (1.0 - s) / (1.0 + s)]
     bps = tuple(x for x in crossings if c < x < T1)
-    outer = integrate_1d(inner, c, T1, cfg, breakpoints=bps or None)
-    mean_inner = sum(inner_errs) / max(len(inner_errs), 1)
-    return _oracle_result(outer, mean_inner, T1 - c, "I_aa numeric")
+    return _double_pv(g, poles, (c, T1), (c, T1), bps, cfg or _I_NUMERIC_CFG, "I_aa numeric")
 
 
 def segment_I_ab(
@@ -306,26 +355,19 @@ def segment_I_ab(
         return 1.0 - math.log(2.0 * s)
     if method != "numeric":
         raise ValueError(f"unknown method: {method!r}")
-    cfg = cfg or _I_NUMERIC_CFG
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 0.1, 1e-9))
     T1, T2 = inp.T1, inp.T2
     c0 = 2.0 * T1 * s
-    inner_errs: list[float] = []
 
-    def inner(t: float) -> float:
-        t = float(t)
+    def g(t, tp):
+        return 1.0 / ((t - tp) ** 2 - c0 * c0)
 
-        def g(tp):
-            return 1.0 / ((t - tp) ** 2 - c0 * c0)
+    def poles(t):
+        return (t + c0)[:, None]
 
-        res = _pv_inner(g, T1, T1 + T2, [t + c0], inner_cfg)
-        inner_errs.append(res.error_estimate)
-        return res.value
-
-    bps = (T1 - c0,) if 0.0 < T1 - c0 < T1 else None
-    outer = integrate_1d(inner, 0.0, T1, cfg, breakpoints=bps)
-    mean_inner = sum(inner_errs) / max(len(inner_errs), 1)
-    return _oracle_result(outer, mean_inner, T1, "I_ab numeric")
+    bps = (T1 - c0,) if 0.0 < T1 - c0 < T1 else ()
+    return _double_pv(
+        g, poles, (T1, T1 + T2), (0.0, T1), bps, cfg or _I_NUMERIC_CFG, "I_ab numeric"
+    )
 
 
 def segment_I_bb(inp: SegmentPairInput) -> float:

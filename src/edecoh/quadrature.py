@@ -7,8 +7,8 @@ One private driver runs that loop on many independent integrals in lockstep:
 each keeps its own panels, tolerance and budget, so it refines exactly as it
 would alone, but every round evaluates the new panels of all unfinished
 integrals with a single integrand call.  A plain integral is the batch of
-one; the pieces of a principal value and the azimuthal integrals of the
-cylinder shape constant are batches of many.
+one; the pieces of a batch of principal values and the azimuthal integrals
+of the cylinder shape constant are batches of many.
 
 Principal values are computed by symmetric excision.  For each interior pole p
 a shrinking sequence of half-widths eps_0 > eps_1 > ... is excised; the two
@@ -16,7 +16,11 @@ panels flanking the pole are folded into a single integral of
 f(p+t) + f(p-t), which cancels the simple-pole divergence analytically, and
 the partial results are extrapolated to eps -> 0 with a Neville tableau.
 For a simple pole the excision error is an odd power series in eps, so the
-extrapolation converges far faster than the raw sequence.
+extrapolation converges far faster than the raw sequence.  Many principal
+values, each with its own window and poles, run as one batch: one call
+probes all their excisions and all their pieces refine in lockstep.
+pv_integrate_1d is the batch of one; the numeric radiation kernels batch
+the inner principal values of one outer refinement round.
 
 Multi-dimensional integrals (n = 2, 3) are iterated one-dimensional integrals.
 
@@ -139,6 +143,9 @@ _WG = np.array([
 ])
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class _Integrand:
     """Wraps a user callable: batched evaluation, scalar fallback, eval count."""
 
@@ -235,7 +242,7 @@ def _adapt_many(
                     results[i] = IntegrationResult(total_v, total_e, evals[i], converged)
                     break
                 _, _, lo, hi, v, e = heapq.heappop(heap)
-                width_floor = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+                width_floor = 8.0 * _EPS * max(abs(lo), abs(hi), 1.0)
                 if hi - lo <= width_floor or e == 0.0:
                     frozen[i].append((v, e))
                     continue
@@ -307,6 +314,161 @@ def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return best, best_corr
 
 
+def _on_boundary(a: float, b: float, p: float) -> bool:
+    """Whether pole p lies within floating distance of an endpoint of [a, b]."""
+    btol = 1e-12 * (b - a)
+    return abs(p - a) <= btol or abs(p - b) <= btol
+
+
+def _excisions(
+    a: float, b: float, poles: Sequence[float], shrink: np.ndarray
+) -> tuple[list[float], np.ndarray]:
+    """The interior poles of [a, b] and their excision half-widths.
+
+    Row i of the (poles, stages) array scales shrink so that its first entry
+    is a quarter of the room around pole i: the distance to the nearer
+    endpoint or half the gap to a neighbouring pole.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite")
+    if a >= b:
+        raise ValueError("requires a < b")
+    interior = []
+    for p in sorted(float(p) for p in poles):
+        if _on_boundary(a, b, p):
+            raise PoleOnBoundaryError(
+                f"pole at {p!r} lies on an integration boundary of [{a}, {b}]"
+            )
+        if a < p < b:
+            interior.append(p)
+    if len(interior) != len(set(interior)):
+        raise PoleSeparationError("duplicate pole locations")
+
+    eps = np.empty((len(interior), shrink.size))
+    for i, p in enumerate(interior):
+        room = min(p - a, b - p)
+        if len(interior) > 1:
+            left_gap = interior[i] - interior[i - 1] if i > 0 else math.inf
+            right_gap = interior[i + 1] - interior[i] if i < len(interior) - 1 else math.inf
+            room = min(room, 0.5 * min(left_gap, right_gap))
+        eps[i] = 0.5 * 0.5 * room * shrink
+    if len(interior) > 1:
+        min_gap = min(q - p for p, q in zip(interior, interior[1:]))
+        if min_gap <= 4.0 * eps[:, -1].min():
+            raise PoleSeparationError(
+                f"pole separation {min_gap:.3g} is below four smallest excision half-widths"
+            )
+    return interior, eps
+
+
+def _pv_many(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    intervals: Sequence[tuple[float, float]],
+    poles_list: Sequence[Sequence[float]],
+    cfg: QuadratureConfig,
+) -> list[IntegrationResult]:
+    """Principal values of independent integrands, computed in lockstep.
+
+    PV i runs over intervals[i] with the simple poles poles_list[i] and is
+    evaluated as evaluate(x, owner) with owner[j] == i for its abscissae
+    x[j].  Each PV is planned as the module docstring describes, raising
+    the errors pv_integrate_1d documents.  One call probes the excisions of
+    all PVs, and the pieces of all PVs refine in one _adapt_many run, so
+    each PV makes the decisions it makes alone.  A PV without an interior
+    pole is the plain integral under cfg.  A result's evaluations are the
+    integrand points of that PV.
+    """
+    n = len(intervals)
+    intervals = [(float(a), float(b)) for a, b in intervals]
+    seq = np.asarray(cfg.excision_sequence)
+    shrink = seq / seq[0]  # normalised: shrink[0] == 1
+    planned = [_excisions(a, b, poles, shrink) for (a, b), poles in zip(intervals, poles_list)]
+    n_poles = [len(interior) for interior, _ in planned]
+    counts = np.zeros(n, dtype=np.int64)
+
+    def call(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        counts[:] += np.bincount(owner, minlength=n)
+        with np.errstate(all="ignore"):
+            return _Integrand._finite(np.asarray(evaluate(x, owner), dtype=float))
+
+    # sub-integrals of a PV must be much tighter than the requested PV
+    # tolerance, otherwise their accumulated noise dominates the final estimate
+    piece_rel = max(cfg.rel_tol * 1e-3, 4.0 * _EPS)
+    piece_abs = cfg.abs_tol * 1e-2
+    budget = cfg.max_subdivisions
+
+    # region outside the largest excisions
+    meshes: list[tuple[float, float]] = []
+    cfgs: list[tuple[Callable[[float], float], int]] = []
+    owners: list[int] = []
+    for i, ((a, b), (interior, eps)) in enumerate(zip(intervals, planned)):
+        edges = [a]
+        for p, e in zip(interior, eps[:, 0].tolist()):
+            edges += [p - e, p + e]
+        edges.append(b)
+        meshes += zip(edges[::2], edges[1::2])
+        tol = _tolerance(piece_rel, piece_abs) if interior else cfg.tolerance
+        cfgs += [(tol, budget)] * (len(interior) + 1)
+        owners += [i] * (len(interior) + 1)
+    n_base = len(meshes)
+
+    # shells between consecutive excision radii, symmetrised about each pole.
+    # The symmetrised integrand is a difference of two near-singular values,
+    # so its achievable absolute accuracy is bounded by machine epsilon times
+    # the magnitude of the cancelling terms; the shell tolerance honours that.
+    at = np.array([p for interior, _ in planned for p in interior])[:, None]
+    widths = np.concatenate([eps for _, eps in planned])
+    pole_owner = np.repeat(np.arange(n), n_poles)
+    outer_r, inner_r = widths[:, :-1], widths[:, 1:]  # shell (i, k) spans eps_k..eps_{k-1}
+    if at.size:
+        probes = np.stack([at - outer_r, at - inner_r, at + inner_r, at + outer_r], axis=-1)
+        y = call(probes.ravel(), np.repeat(pole_owner, probes[0].size))
+        mags = np.abs(y).reshape(probes.shape).max(axis=-1)
+        floors = 64.0 * _EPS * mags * (outer_r - inner_r)
+        meshes += zip(inner_r.ravel().tolist(), outer_r.ravel().tolist())
+        cfgs += [
+            (_tolerance(piece_rel, max(piece_abs, fl)), budget) for fl in floors.ravel().tolist()
+        ]
+        owners += np.repeat(pole_owner, shrink.size - 1).tolist()
+    shell_pole = np.repeat(at, shrink.size - 1)
+    piece_owner = np.array(owners)
+
+    def evaluate_pieces(x: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        fold = piece >= n_base
+        p, t = shell_pole[piece[fold] - n_base], x[fold]
+        owner = piece_owner[piece]
+        y = call(
+            np.concatenate([x[~fold], p + t, p - t]),
+            np.concatenate([owner[~fold], owner[fold], owner[fold]]),
+        )
+        out = np.empty_like(x)
+        m = x.size - t.size
+        out[~fold] = y[:m]
+        out[fold] = y[m:m + t.size] + y[m + t.size:]
+        return out
+
+    pieces = _adapt_many(evaluate_pieces, meshes, cfgs)
+    results = []
+    base_at = np.cumsum([0] + [k + 1 for k in n_poles]).tolist()
+    shell_at = (n_base + (shrink.size - 1) * np.cumsum([0] + n_poles)).tolist()
+    for i, k in enumerate(n_poles):
+        base = pieces[base_at[i]:base_at[i + 1]]
+        if not k:
+            results.append(base[0])  # no probes: its evaluations are all its points
+            continue
+        own = base + pieces[shell_at[i]:shell_at[i + 1]]
+        piece_err = sum(res.error_estimate for res in own)
+        all_ok = all(res.converged for res in own)
+        shells = np.zeros((k, shrink.size))  # shells[:, 0] stays zero
+        shells[:, 1:] = np.reshape([res.value for res in own[k + 1:]], (k, -1))
+        stage_vals = math.fsum(res.value for res in base) + np.cumsum(shells.sum(axis=0))
+        value, extrap_err = _neville_to_zero(shrink, stage_vals)
+        err = extrap_err + piece_err
+        converged = all_ok and err <= cfg.tolerance(value)
+        results.append(IntegrationResult(value, err, int(counts[i]), converged))
+    return results
+
+
 def pv_integrate_1d(
     f: Callable,
     a: float,
@@ -320,100 +482,9 @@ def pv_integrate_1d(
     of an endpoint raises PoleOnBoundaryError; poles too close to each other
     for independent excision raise PoleSeparationError.
     """
-    cfg = cfg or QuadratureConfig()
-    a, b = float(a), float(b)
-    if a >= b:
-        raise ValueError("requires a < b")
-    btol = 1e-12 * (b - a)
-    interior = []
-    for p in sorted(float(p) for p in poles):
-        if abs(p - a) <= btol or abs(p - b) <= btol:
-            raise PoleOnBoundaryError(
-                f"pole at {p!r} lies on an integration boundary of [{a}, {b}]"
-            )
-        if a < p < b:
-            interior.append(p)
-    if len(interior) != len(set(interior)):
-        raise PoleSeparationError("duplicate pole locations")
-    if not interior:
-        return integrate_1d(f, a, b, cfg)
-
-    seq = np.asarray(cfg.excision_sequence)
-    shrink = seq / seq[0]  # normalised: shrink[0] == 1
-    gaps = [math.inf]
-    if len(interior) > 1:
-        gaps = [q - p for p, q in zip(interior, interior[1:])]
-    min_gap = min(gaps)
-
-    eps: list[np.ndarray] = []
-    for i, p in enumerate(interior):
-        room = min(p - a, b - p)
-        if len(interior) > 1:
-            left_gap = interior[i] - interior[i - 1] if i > 0 else math.inf
-            right_gap = interior[i + 1] - interior[i] if i < len(interior) - 1 else math.inf
-            room = min(room, 0.5 * min(left_gap, right_gap))
-        eps.append(0.5 * 0.5 * room * shrink)  # largest excision = room/4
-
-    if len(interior) > 1 and min_gap <= 4.0 * min(e[-1] for e in eps):
-        raise PoleSeparationError(
-            f"pole separation {min_gap:.3g} is below four smallest excision half-widths"
-        )
-
-    # sub-integrals must be much tighter than the requested PV tolerance,
-    # otherwise their accumulated noise dominates the final estimate
-    piece_rel = max(cfg.rel_tol * 1e-3, 4.0 * np.finfo(float).eps)
-    piece_abs = cfg.abs_tol * 1e-2
     F = _Integrand(f)
-
-    # region outside the largest excisions
-    edges = [a]
-    for p, e in zip(interior, eps):
-        edges += [p - e[0], p + e[0]]
-    edges.append(b)
-    meshes = list(zip(edges[::2], edges[1::2]))
-    cfgs = [(_tolerance(piece_rel, piece_abs), cfg.max_subdivisions)] * len(meshes)
-    n_base = len(meshes)
-
-    # shells between consecutive excision radii, symmetrised about each pole.
-    # The symmetrised integrand is a difference of two near-singular values,
-    # so its achievable absolute accuracy is bounded by machine epsilon times
-    # the magnitude of the cancelling terms; the shell tolerance honours that.
-    n_stage = len(seq)
-    widths = np.array(eps)
-    outer_r, inner_r = widths[:, :-1], widths[:, 1:]  # shell (i, k) spans eps_k..eps_{k-1}
-    at = np.array(interior)[:, None]
-    probes = np.stack([at - outer_r, at - inner_r, at + inner_r, at + outer_r], axis=-1)
-    mags = np.abs(F(probes.ravel())).reshape(probes.shape).max(axis=-1)
-    floors = 64.0 * np.finfo(float).eps * mags * (outer_r - inner_r)
-    meshes += zip(inner_r.ravel().tolist(), outer_r.ravel().tolist())
-    cfgs += [
-        (_tolerance(piece_rel, max(piece_abs, fl)), cfg.max_subdivisions)
-        for fl in floors.ravel().tolist()
-    ]
-    shell_pole = np.repeat(interior, n_stage - 1)
-
-    def evaluate(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        fold = owner >= n_base
-        p, t = shell_pole[owner[fold] - n_base], x[fold]
-        y = F(np.concatenate([x[~fold], p + t, p - t]))
-        out = np.empty_like(x)
-        n = x.size - t.size
-        out[~fold] = y[:n]
-        out[fold] = y[n:n + t.size] + y[n + t.size:]
-        return out
-
-    results = _adapt_many(evaluate, meshes, cfgs)
-    piece_err = sum(res.error_estimate for res in results)
-    all_ok = all(res.converged for res in results)
-    base = math.fsum(res.value for res in results[:n_base])
-    shells = np.zeros((len(interior), n_stage))  # shells[:,0] stays zero
-    shells[:, 1:] = np.reshape([res.value for res in results[n_base:]], outer_r.shape)
-
-    stage_vals = base + np.cumsum(shells.sum(axis=0))
-    value, extrap_err = _neville_to_zero(shrink, stage_vals)
-    err = extrap_err + piece_err
-    converged = all_ok and err <= cfg.tolerance(value)
-    return IntegrationResult(value, err, F.evaluations, converged)
+    (res,) = _pv_many(lambda x, _owner: F(x), [(a, b)], [poles], cfg or QuadratureConfig())
+    return res
 
 
 def integrate_nd(

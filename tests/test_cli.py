@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,6 +176,37 @@ class TestIntersectCommand:
         rc, _, err = _run(capsys, ["intersect", "--theta", "1.5707963267948966"])
         assert rc == 2
         assert "theta" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["intersect", "--branch", "assembled", "--L1", "inf"], "L1"),
+            (["intersect", "--branch", "assembled", "--L2", "inf"], "L2"),
+            (["parallel", "--r0", "inf"], "r0"),
+        ],
+    )
+    def test_non_finite_input_is_named(self, capsys, argv, name):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
+
+    def test_assembled_tiny_speed_ends_on_the_evaluation_budget(self, capsys):
+        # the inner poles pinch together; the numeric I_aa used to run for
+        # minutes without end
+        start = time.perf_counter()
+        rc, _, err = _run(capsys, ["intersect", "--branch", "assembled", "--v", "1e-9"])
+        assert rc == 3
+        assert "I_aa numeric" in err and "budget" in err
+        assert time.perf_counter() - start < 60.0
+
+    def test_assembled_speed_below_pole_resolution_exits_2(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--v", "1e-300"])
+        assert rc == 2
+        assert out == ""
+        assert "too small for the two I_aa poles to be distinct" in err
+        assert time.perf_counter() - start < 10.0
 
 
 class TestVerifyCommand:

@@ -57,6 +57,10 @@ class TestInputs:
             IntersectingGeometry(L1=10.0, L2=5.0, theta=0.5, v=0.1)
         with pytest.raises(ValueError):
             IntersectingGeometry(L1=1.0, L2=10.0, theta=math.pi / 2, v=0.1)
+        with pytest.raises(ValueError, match="T must be finite"):
+            ParallelGeometry(r0=1.0, T=math.nan, v=0.1)
+        with pytest.raises(ValueError, match="L1 must be finite"):
+            IntersectingGeometry(L1=math.inf, L2=10.0, theta=0.5, v=0.1)
 
     def test_validity_input_validation(self):
         with pytest.raises(ValueError):

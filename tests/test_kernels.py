@@ -52,6 +52,10 @@ class TestInputs:
             KernelInput(0.0, 1.0)
         with pytest.raises(ValueError):
             KernelInput(1.0, -2.0)
+        with pytest.raises(ValueError, match="T must be finite"):
+            KernelInput(math.inf, 1.0)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            KernelInput(1.0, math.nan)
 
     def test_segment_pair_hard_errors(self):
         good = dict(L1=1.0, L2=100.0, ell=1e-3, v=0.1, theta=0.5)
@@ -66,6 +70,9 @@ class TestInputs:
         ):
             with pytest.raises(ValueError):
                 SegmentPairInput(**{**good, **bad})
+        for name in good:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SegmentPairInput(**{**good, name: math.inf})
 
     def test_segment_pair_soft_warnings(self):
         with pytest.warns(RegimeWarning, match="factor 10 of ell"):

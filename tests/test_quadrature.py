@@ -18,6 +18,7 @@ from edecoh.quadrature import (
     PoleSeparationError,
     QuadratureConfig,
     _adapt_many,
+    _pv_many,
     integrate_1d,
     integrate_nd,
     pv_integrate_1d,
@@ -304,3 +305,86 @@ class TestLockstep:
             assert res.value == pytest.approx(alone.value, rel=1e-14, abs=1e-300)
         # one integrand call per refinement round, shared by the whole batch
         assert batch_calls == max(rounds)
+
+    def test_pv_batch_matches_pv_alone(self):
+        # one pole, two poles, a pole outside the window (a plain integral)
+        # and a window nudged off a pole that sat on its lower boundary
+        cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
+        shift = 4e-12
+        cases = [  # (integrand, (a, b), poles)
+            (lambda x: np.exp(x) / (x - 0.3), (0.0, 1.0), [0.3]),
+            (lambda x: np.cos(x) / ((x - 0.2) * (x - 0.7)), (0.0, 1.0), [0.2, 0.7]),
+            (lambda x: 1.0 / (x - 2.0), (0.0, 1.0), [2.0]),
+            (lambda x: 1.0 / (x * (x - 0.6)), (shift, 1.0 - shift), [0.0, 0.6]),
+        ]
+        with pytest.raises(PoleOnBoundaryError):
+            pv_integrate_1d(cases[3][0], 0.0, 1.0, cases[3][2], cfg)
+
+        calls = [0]
+
+        def evaluate(x, owner):
+            calls[0] += 1
+            out = np.empty_like(x)
+            for j, (g, _, _) in enumerate(cases):
+                out[owner == j] = g(x[owner == j])
+            return out
+
+        batch = _pv_many(evaluate, [c[1] for c in cases], [c[2] for c in cases], cfg)
+        rounds = []
+        for (g, (a, b), poles), res in zip(cases, batch):
+            alone_calls = [0]
+
+            def counted(x, g=g):
+                alone_calls[0] += 1
+                return g(x)
+
+            alone = pv_integrate_1d(counted, a, b, poles, cfg)
+            has_pole = any(a < p < b for p in poles)
+            rounds.append(alone_calls[0] - has_pole)  # less the excision probe call
+            assert res.evaluations == alone.evaluations
+            assert res.converged == alone.converged
+            # batched matrix products round differently; the error estimate
+            # includes differences of the stage values, so it moves by as much
+            assert res.value == pytest.approx(alone.value, rel=1e-14, abs=1e-300)
+            assert abs(res.error_estimate - alone.error_estimate) <= 4.0 * math.ulp(alone.value)
+        plain = integrate_1d(cases[2][0], 0.0, 1.0, cfg)
+        assert batch[2].evaluations == plain.evaluations
+        assert batch[2].value == pytest.approx(plain.value, rel=1e-14)
+        # one call for all excision probes, then one per refinement round
+        assert calls[0] == 1 + max(rounds)
+
+
+@pytest.fixture
+def qawc():
+    """QUADPACK's QAWC: PV of g(x)/(x - c) over [a, b] (scipy is test-only)."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    return lambda g, a, b, c: quad(g, a, b, weight="cauchy", wvar=c, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+class TestCauchyWeightOracle:
+    """pv_integrate_1d against QUADPACK's QAWC (Piessens et al. 1983), which
+    integrates g(x)/(x - c) with a modified Clenshaw-Curtis rule and shares
+    no code with the excision route."""
+
+    @pytest.mark.parametrize(
+        "g, a, b, c",
+        [
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, 2.0, 0.3),
+            (lambda x: (x * x + 1.0) / (x + 2.0), -1.0, 3.0, 0.5),
+            (lambda x: (x**3 - 2.0 * x) / (x * x + 0.5), -2.0, 1.0, -0.4),
+        ],
+    )
+    def test_one_pole(self, qawc, g, a, b, c):
+        res = pv_integrate_1d(lambda x: g(x) / (x - c), a, b, [c], CFG)
+        assert res.converged
+        assert res.value == pytest.approx(qawc(g, a, b, c), rel=1e-9, abs=1e-12)
+
+    def test_two_poles(self, qawc):
+        # QAWC takes one pole per call: split 1/((x - 0.25)(x - 0.8)) on
+        # [0, 1] at the midpoint between the poles
+        m = 0.525
+        ref = qawc(lambda x: 1.0 / (x - 0.8), 0.0, m, 0.25)
+        ref += qawc(lambda x: 1.0 / (x - 0.25), m, 1.0, 0.8)
+        res = pv_integrate_1d(lambda x: 1.0 / ((x - 0.25) * (x - 0.8)), 0.0, 1.0, [0.25, 0.8], CFG)
+        assert res.converged
+        assert res.value == pytest.approx(ref, rel=1e-9, abs=1e-12)
