@@ -23,13 +23,7 @@ from .wavepacket import (
     kappa,
     kappa_bruteforce_oracle,
 )
-from .kernels import (
-    KernelInput,
-    RegimeWarning,
-    SegmentPairInput,
-    kernel_K_closed,
-    kernel_K_numeric,
-)
+from .kernels import kernel_K_closed, kernel_K_numeric
 from .decoherence import (
     DecoherenceResult,
     IntersectingGeometry,
@@ -59,9 +53,6 @@ __all__ = [
     "characteristic_length",
     "kappa",
     "kappa_bruteforce_oracle",
-    "KernelInput",
-    "RegimeWarning",
-    "SegmentPairInput",
     "kernel_K_closed",
     "kernel_K_numeric",
     "DecoherenceResult",

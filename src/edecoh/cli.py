@@ -27,15 +27,14 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
 
 from .decoherence import (
+    RELATIVISTIC_NOTE,
     IntersectingGeometry,
     ParallelGeometry,
-    RelativisticRegimeWarning,
     ValidityInput,
     max_flight_distance,
     w_photon_parallel,
@@ -45,8 +44,6 @@ from .decoherence import (
 )
 from .kernels import (
     K_EQUAL_ARGS_LIMIT,
-    RegimeWarning,
-    SegmentPairInput,
     kernel_K_closed,
     kernel_K_numeric,
     segment_I_aa,
@@ -182,7 +179,7 @@ def _print_result(stream: _OutStream, result) -> None:
     stream.line(f"w_photon = {_fmt(result.w_photon)}")
     stream.line(f"w_total = {_fmt(result.w_total)}")
     stream.line(f"contrast = {_fmt(result.contrast)}")
-    for note in result.regime_warnings:
+    for note in result.notes:
         stream.line(f"note: {note}")
 
 
@@ -190,6 +187,7 @@ def _print_result(stream: _OutStream, result) -> None:
 # commands
 
 def cmd_kappa_sweep(args: argparse.Namespace) -> int:
+    cfg = _quad_cfg(args)
     stream = _OutStream(args.out)
     try:
         stream.line("beta,kappa,error_estimate")
@@ -202,7 +200,6 @@ def cmd_kappa_sweep(args: argparse.Namespace) -> int:
         # diameter; pin that point whenever the grid brackets it
         if args.beta_min < 2.0 < args.beta_max and 2.0 not in betas:
             betas = sorted(betas + [2.0])
-        cfg = _quad_cfg(args)
         for beta in betas:
             res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
             stream.line(f"{_fmt(beta)},{_fmt(res.kappa)},{_fmt(res.error_estimate)}")
@@ -225,13 +222,11 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
         kap = kappa(wp, cfg)
         stream.line("T,w_vacuum,w_photon,w_total")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            for T in grid:
-                g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
-                wv = w_vacuum_parallel(g, kap)
-                wg = w_photon_parallel(g)
-                stream.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
+        for T in grid:
+            g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
+            wv = w_vacuum_parallel(g, kap)
+            wg = w_photon_parallel(g)
+            stream.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
         return 0
     finally:
         stream.close()
@@ -307,19 +302,15 @@ def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
         )
     )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        jpair = SegmentPairInput(L1=1.0, L2=40.0, ell=0.01, v=0.1, theta=0.5)
-        ipair_ab = SegmentPairInput(L1=1.0, L2=100.0, ell=1e-3, v=0.01, theta=math.pi / 4)
-        ipair_aa = SegmentPairInput(L1=1.0, L2=100.0, ell=1e-2, v=0.01, theta=math.pi / 6)
-        ipair_bb = SegmentPairInput(L1=1.0, L2=2.0, ell=1e-3, v=0.01, theta=math.pi / 6)
-
+    geom = IntersectingGeometry(L1=1.0, L2=40.0, theta=0.5, v=0.1)
+    ell = 0.01
+    T1, tau = geom.T1, ell / geom.v
     oracle = integrate_nd(
         lambda t, tp: (t - tp) ** -2.0,
-        [(0.0, jpair.T1 - 0.5 * jpair.tau), (jpair.T1 + 0.5 * jpair.tau, jpair.T1 + jpair.T2)],
+        [(0.0, T1 - 0.5 * tau), (T1 + 0.5 * tau, T1 + geom.T2)],
         QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13),
     )
-    rel = abs(segment_J_ab_closed(jpair) - oracle.value) / abs(oracle.value)
+    rel = abs(segment_J_ab_closed(geom, ell) - oracle.value) / abs(oracle.value)
     checks.append(
         (
             "static cross term vs double integral",
@@ -328,22 +319,23 @@ def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
         )
     )
 
-    rel = abs(segment_I_ab(ipair_ab, method="numeric") - segment_I_ab(ipair_ab)) / abs(
-        segment_I_ab(ipair_ab)
-    )
+    geom = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 4, v=0.01)
+    closed = segment_I_ab(geom)
+    rel = abs(segment_I_ab(geom, method="numeric") - closed) / abs(closed)
     checks.append(
         ("radiation cross term vs principal value", rel <= 0.02, f"rel diff {rel:.3g}")
     )
 
-    rel = abs(segment_I_aa(ipair_aa, method="numeric") - segment_I_aa(ipair_aa)) / abs(
-        segment_I_aa(ipair_aa)
-    )
+    geom = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 6, v=0.01)
+    closed = segment_I_aa(geom, 1e-2)
+    rel = abs(segment_I_aa(geom, 1e-2, method="numeric") - closed) / abs(closed)
     checks.append(
         ("radiation self term vs principal value", rel <= 0.02, f"rel diff {rel:.3g}")
     )
 
-    K_full = kernel_K_closed(ipair_bb.T2, 2.0 * ipair_bb.L1 * math.sin(ipair_bb.theta))
-    rel = abs(segment_I_bb(ipair_bb) - K_full) / abs(K_full)
+    geom = IntersectingGeometry(L1=1.0, L2=2.0, theta=math.pi / 6, v=0.01)
+    K_full = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
+    rel = abs(segment_I_bb(geom) - K_full) / abs(K_full)
     checks.append(
         ("radiation far-segment term vs coincident kernel", rel <= 3e-3, f"rel diff {rel:.3g}")
     )
@@ -416,14 +408,12 @@ def cmd_validity(args: argparse.Namespace) -> int:
     unit_m = _UNIT_M[args.unit]
     stream = _OutStream(args.out)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RelativisticRegimeWarning)
-            bound = max_flight_distance(ValidityInput(energy=args.energy_ev, dx0=args.dx0 * unit_m))
-            base = max_flight_distance(ValidityInput(energy=_SCALING_E_EV, dx0=_SCALING_DX0_M))
-        stream.line(f"max_flight_m = {_fmt(bound)}")
+        inp = ValidityInput(energy=args.energy_ev, dx0=args.dx0 * unit_m)
+        base = max_flight_distance(ValidityInput(energy=_SCALING_E_EV, dx0=_SCALING_DX0_M))
+        stream.line(f"max_flight_m = {_fmt(max_flight_distance(inp))}")
         stream.line(f"scaling: {_fmt(base)} m * sqrt(E / 10 keV) * (dx0 / 1 um)^2")
-        for w in caught:
-            stream.line(f"note: {w.message}")
+        if inp.relativistic:
+            stream.line(f"note: {RELATIVISTIC_NOTE}")
         return 0
     finally:
         stream.close()

@@ -38,22 +38,18 @@ fuzzy phase) is reported as-is, never clamped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .kernels import (
-    DegenerateInputError,
-    RegimeWarning,
-    SegmentPairInput,
+    IntersectingGeometry,
     kernel_K_closed,
-    require_finite,
     segment_I_aa,
     segment_I_ab,
     segment_I_bb,
     segment_J_ab_closed,
     segment_J_straight,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, require_finite
 from .wavepacket import KappaResult, Wavepacket, characteristic_length, kappa
 
 __all__ = [
@@ -62,12 +58,10 @@ __all__ = [
     "IntersectingGeometry",
     "DecoherenceResult",
     "ValidityInput",
-    "RelativisticRegimeWarning",
+    "RELATIVISTIC_NOTE",
     "w_vacuum_parallel",
     "w_photon_parallel",
     "w_total_parallel",
-    "w_vacuum_intersecting",
-    "w_photon_intersecting",
     "w_total_intersecting",
     "interference_pattern",
     "max_flight_distance",
@@ -77,9 +71,11 @@ __all__ = [
 # hbar*c in eV*m, used to convert the spreading bound to meters
 _HBAR_C_EV_M = 1.973269804e-7
 
-
-class RelativisticRegimeWarning(RegimeWarning):
-    """Kinetic energy is no longer small against the rest mass."""
+# regime note for ValidityInput.relativistic
+RELATIVISTIC_NOTE = (
+    "kinetic energy above 5% of the rest mass; the nonrelativistic "
+    "spreading bound is unreliable"
+)
 
 
 @dataclass(frozen=True)
@@ -102,32 +98,11 @@ class ParallelGeometry:
     v: float
 
     def __post_init__(self) -> None:
-        require_finite(self, "r0", "T", "v")
+        require_finite(vars(self))
         if not self.r0 > 0.0:
             raise ValueError("r0 must be positive")
         if not self.T > 0.0:
             raise ValueError("T must be positive")
-        if not 0.0 < self.v < 1.0:
-            raise ValueError("speed v must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class IntersectingGeometry:
-    """V-shaped paths: arms L1 before the vertex, L2 after, half-angle theta."""
-
-    L1: float
-    L2: float
-    theta: float
-    v: float
-
-    def __post_init__(self) -> None:
-        require_finite(self, "L1", "L2", "theta", "v")
-        if not self.L1 > 0.0:
-            raise ValueError("L1 must be positive")
-        if not self.L2 > self.L1:
-            raise ValueError("L2 must exceed L1")
-        if not 0.0 < self.theta < 0.5 * math.pi:
-            raise ValueError("theta must lie in (0, pi/2)")
         if not 0.0 < self.v < 1.0:
             raise ValueError("speed v must lie in (0, 1)")
 
@@ -139,7 +114,7 @@ class DecoherenceResult:
     w_total: float
     contrast: float
     breakdown: dict[str, float] = field(default_factory=dict)
-    regime_warnings: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
 
 def _result(wv: float, wg: float, breakdown: dict[str, float], notes: list[str]) -> DecoherenceResult:
@@ -156,12 +131,18 @@ class ValidityInput:
     electron_mass: float = 510998.95
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if not self.energy > 0.0:
             raise ValueError("energy must be positive")
         if not self.dx0 > 0.0:
             raise ValueError("dx0 must be positive")
         if not self.electron_mass > 0.0:
             raise ValueError("electron_mass must be positive")
+
+    @property
+    def relativistic(self) -> bool:
+        """Kinetic energy above 5% of the rest mass (RELATIVISTIC_NOTE)."""
+        return self.energy > 0.05 * self.electron_mass
 
 
 def w_vacuum_parallel(
@@ -170,12 +151,6 @@ def w_vacuum_parallel(
     constants: PhysicalConstants = PhysicalConstants(),
 ) -> float:
     """Vacuum exponent of the parallel geometry (rest-frame flight time)."""
-    if geom.T < 10.0 * kap.ell:
-        warnings.warn(
-            "flight time T is within a factor 10 of the wavepacket size",
-            RegimeWarning,
-            stacklevel=2,
-        )
     a = constants.alpha_fs / math.pi
     return a * (2.0 - kap.kappa + 2.0 * math.log(geom.T / kap.ell))
 
@@ -188,7 +163,7 @@ def w_photon_parallel(
     """Photon exponent of the parallel geometry.
 
     exact-kernel keeps the full coincident kernel K(T, r0) and so is valid
-    at any T/r0 away from T = r0; asymptotic keeps only the long-time form
+    at any T/r0, T = r0 included; asymptotic keeps only the long-time form
     -2 [1 + ln(T/r0)], good to 1% for T/r0 of a few tens.
     """
     a = constants.alpha_fs / math.pi
@@ -212,61 +187,10 @@ def w_total_parallel(
     """
     notes = check_regime(geom, wp)
     kap = kappa(wp, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        wv = w_vacuum_parallel(geom, kap, constants)
+    wv = w_vacuum_parallel(geom, kap, constants)
     K = kernel_K_closed(geom.T, geom.r0)
     wg = constants.alpha_fs / math.pi * K
     return _result(wv, wg, {"kappa": kap.kappa, "K": K}, notes)
-
-
-def _pair_input(geom: IntersectingGeometry, ell: float) -> SegmentPairInput:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return SegmentPairInput(L1=geom.L1, L2=geom.L2, ell=ell, v=geom.v, theta=geom.theta)
-
-
-def w_vacuum_intersecting(
-    geom: IntersectingGeometry,
-    wp: Wavepacket,
-    cfg: QuadratureConfig | None = None,
-    *,
-    j_ab: str = "exact",
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> float:
-    """Vacuum exponent of the V geometry, -(alpha/2 pi)[2 J_aa + J_bb + 4 J_ab].
-
-    j_ab selects the cross-term branch ("exact" or "asymptotic"); with the
-    asymptotic branch the sum collapses to
-    (alpha/2 pi) [3 (2 - kappa) + 2 ln(L2/(ell v^3))], in which the short
-    length L1 has cancelled.
-    """
-    if j_ab not in ("exact", "asymptotic"):
-        raise ValueError(f"unknown j_ab branch: {j_ab!r}")
-    kap = kappa(wp, cfg)
-    inp = _pair_input(geom, kap.ell)
-    J_aa = segment_J_straight(geom.L1, kap.ell, geom.v, kap.kappa)
-    J_bb = segment_J_straight(geom.L2, kap.ell, geom.v, kap.kappa)
-    J_ab = segment_J_ab_closed(inp, asymptotic=(j_ab == "asymptotic"))
-    J = 2.0 * J_aa + J_bb + 4.0 * J_ab
-    return -0.5 * constants.alpha_fs / math.pi * J
-
-
-def w_photon_intersecting(
-    geom: IntersectingGeometry,
-    wp: Wavepacket,
-    cfg: QuadratureConfig | None = None,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> float:
-    """Photon exponent of the V geometry, (alpha/2 pi)[2 I_aa + I_bb + 4 I_ab].
-
-    Uses the small-v closed kernels; the sum telescopes to
-    -(alpha/pi) [1 - ln 2 + ln(L2/(ell v sin(theta)))].
-    """
-    ell = characteristic_length(wp)
-    inp = _pair_input(geom, ell)
-    I = 2.0 * segment_I_aa(inp) + segment_I_bb(inp) + 4.0 * segment_I_ab(inp)
-    return 0.5 * constants.alpha_fs / math.pi * I
 
 
 def w_total_intersecting(
@@ -291,19 +215,18 @@ def w_total_intersecting(
         raise ValueError(f"unknown branch: {branch!r}")
     notes = check_regime(geom, wp)
     kap = kappa(wp, cfg)
-    inp = _pair_input(geom, kap.ell)
     J_aa = segment_J_straight(geom.L1, kap.ell, geom.v, kap.kappa)
     J_bb = segment_J_straight(geom.L2, kap.ell, geom.v, kap.kappa)
     if branch == "closed":
-        J_ab = segment_J_ab_closed(inp, asymptotic=True)
-        I_aa = segment_I_aa(inp)
-        I_ab = segment_I_ab(inp)
-        I_bb = segment_I_bb(inp)
+        J_ab = segment_J_ab_closed(geom, kap.ell, asymptotic=True)
+        I_aa = segment_I_aa(geom, kap.ell)
+        I_ab = segment_I_ab(geom)
+        I_bb = segment_I_bb(geom)
     else:
-        J_ab = segment_J_ab_closed(inp)
-        I_aa = segment_I_aa(inp, cfg, method="numeric")
-        I_ab = segment_I_ab(inp, cfg, method="numeric")
-        I_bb = kernel_K_closed(inp.T2, 2.0 * geom.L1 * math.sin(geom.theta))
+        J_ab = segment_J_ab_closed(geom, kap.ell)
+        I_aa = segment_I_aa(geom, kap.ell, cfg, method="numeric")
+        I_ab = segment_I_ab(geom, cfg, method="numeric")
+        I_bb = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
     J = 2.0 * J_aa + J_bb + 4.0 * J_ab
     I = 2.0 * I_aa + I_bb + 4.0 * I_ab
     half_a = 0.5 * constants.alpha_fs / math.pi
@@ -339,16 +262,9 @@ def max_flight_distance(inp: ValidityInput) -> float:
 
     A minimum-uncertainty packet of initial size dx0 disperses negligibly
     only while the flight distance stays well below
-    2 sqrt(2 m E) dx0^2 (converted via hbar c).  Nonrelativistic; warns
-    once kinetic energy passes 5% of the rest mass.
+    2 sqrt(2 m E) dx0^2 (converted via hbar c).  Nonrelativistic, and so
+    unreliable when inp.relativistic.
     """
-    if inp.energy > 0.05 * inp.electron_mass:
-        warnings.warn(
-            "kinetic energy above 5% of the rest mass; the nonrelativistic "
-            "spreading bound is unreliable",
-            RelativisticRegimeWarning,
-            stacklevel=2,
-        )
     p = math.sqrt(2.0 * inp.electron_mass * inp.energy)
     return 2.0 * p * inp.dx0 * inp.dx0 / _HBAR_C_EV_M
 
@@ -360,6 +276,9 @@ def check_regime(
     unit_m: float = 1e-6,
 ) -> list[str]:
     """Separation-of-scales audit; returns human-readable violation notes.
+
+    The notes are the only report of regime problems: every exponent is
+    computed whatever they say, and the results carry them as .notes.
 
     Geometry lengths are interpreted in multiples of unit_m (micrometers by
     default) only when a spreading-bound comparison is requested via
@@ -388,11 +307,9 @@ def check_regime(
     if geom.v > 0.3:
         notes.append("speed v exceeds 0.3; treatment is nonrelativistic")
     if validity is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelativisticRegimeWarning)
-            bound = max_flight_distance(validity)
-        if validity.energy > 0.05 * validity.electron_mass:
-            notes.append("kinetic energy above 5% of the rest mass")
+        bound = max_flight_distance(validity)
+        if validity.relativistic:
+            notes.append(RELATIVISTIC_NOTE)
         if flight * unit_m > 0.1 * bound:
             notes.append(
                 f"flight distance {flight * unit_m:.3g} m exceeds 10% of the "

@@ -13,7 +13,8 @@ Three kernel families enter the decoherence exponents:
   and the same expression is the plain antiderivative).  Exactly at
   T = rho the integrand collapses to -2/(tau + rho) and the value is the
   finite limit -2 ln 2; the closed form itself degenerates (0 * log 0),
-  so that point raises DegenerateInputError and callers use the limit.
+  so within 1e-12 relative of that point the limit is returned instead
+  (at the window edge the exact closed form is within about 3e-11 of it).
   For T >> rho, K -> -2 - ln(T^2/rho^2).
 
 * J kernels: static-potential pieces for the V geometry with arm segments
@@ -24,21 +25,23 @@ Three kernel families enter the decoherence exponents:
 
       J_ab = ln[ (T1 + d)(T2 + d) / (2 d (T1 + T2)) ],   d = tau/2 default
 
-  which tends to ln(L1/ell + 1/2) as L2/L1 -> infinity and to ln(L1/ell)
-  asymptotically.  The same-segment pieces J_aa, J_bb share one form,
-  J_straight = -2 + kappa - 2 ln(L/(ell v)).
+  with tau = ell/v, which tends to ln(L1/ell + 1/2) as L2/L1 -> infinity
+  and to ln(L1/ell) asymptotically.  The same-segment pieces J_aa, J_bb
+  share one form, J_straight = -2 + kappa - 2 ln(L/(ell v)).
 
 * I kernels: radiation pieces of the same geometry, small-v closed forms
   with principal-value double integrals as their numeric counterparts.
   Branch selection is always explicit; the closed forms drop O(v) to
   O(v ln v) terms depending on the kernel, so no function silently
   substitutes an asymptote for the requested branch.
+
+The V-geometry kernels take an IntersectingGeometry and, where the
+wavepacket cutoff enters, its size ell.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -52,13 +55,11 @@ from .quadrature import (
     _pv_many,
     integrate_1d,
     pv_integrate_1d,
+    require_finite,
 )
 
 __all__ = [
-    "KernelInput",
-    "SegmentPairInput",
-    "DegenerateInputError",
-    "RegimeWarning",
+    "IntersectingGeometry",
     "K_EQUAL_ARGS_LIMIT",
     "kernel_K_closed",
     "kernel_K_numeric",
@@ -73,80 +74,29 @@ __all__ = [
 K_EQUAL_ARGS_LIMIT = -2.0 * math.log(2.0)
 
 
-class DegenerateInputError(ValueError):
-    """Input sits exactly on a removable singularity of a closed form."""
-
-
-class RegimeWarning(UserWarning):
-    """Input is valid but outside the regime the closed forms assume."""
-
-
-def require_finite(obj: object, *names: str) -> None:
-    """Reject non-finite fields, which would pass every ordering check."""
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
-class KernelInput:
-    """Flight time and transverse separation for the coincident kernel."""
+class IntersectingGeometry:
+    """V-shaped paths: arms L1 before the vertex, L2 after, half-angle theta.
 
-    T: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        require_finite(self, "T", "rho")
-        if not self.T > 0.0:
-            raise ValueError("flight time T must be positive")
-        if not self.rho > 0.0:
-            raise ValueError("separation rho must be positive")
-
-
-@dataclass(frozen=True)
-class SegmentPairInput:
-    """Geometry of two straight arm segments meeting at a vertex.
-
-    Segment a has length L1 (traversed before the vertex), segment b has
-    length L2; theta is the half-opening angle between the two arms, v the
-    speed (c = 1), ell the wavepacket size that cuts off short-distance
-    divergences.  The closed forms assume ell << L1 << L2 and
-    v sin(theta) << 1; violating those is legal but draws RegimeWarning.
+    v is the speed (c = 1).  The closed kernels assume ell << L1 << L2 and
+    v sin(theta) << 1; violating those is legal, and check_regime says so.
     """
 
     L1: float
     L2: float
-    ell: float
-    v: float
     theta: float
+    v: float
 
     def __post_init__(self) -> None:
-        require_finite(self, "L1", "L2", "ell", "v", "theta")
-        for name in ("L1", "L2", "ell"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        require_finite(vars(self))
+        if not self.L1 > 0.0:
+            raise ValueError("L1 must be positive")
+        if not self.L2 > self.L1:
+            raise ValueError("L2 must exceed L1")
+        if not 0.0 < self.theta < 0.5 * math.pi:
+            raise ValueError("theta must lie in (0, pi/2)")
         if not 0.0 < self.v < 1.0:
             raise ValueError("speed v must lie in (0, 1)")
-        if not 0.0 < self.theta < 0.5 * math.pi:
-            raise ValueError("half-opening angle theta must lie in (0, pi/2)")
-        if self.L1 < 10.0 * self.ell:
-            warnings.warn(
-                "L1 is within a factor 10 of ell; scale separation is marginal",
-                RegimeWarning,
-                stacklevel=2,
-            )
-        if self.L2 < 10.0 * self.L1:
-            warnings.warn(
-                "L2 is within a factor 10 of L1; long-arm asymptotics are marginal",
-                RegimeWarning,
-                stacklevel=2,
-            )
-        if self.v * math.sin(self.theta) > 0.2:
-            warnings.warn(
-                "v sin(theta) > 0.2; small-speed closed forms lose accuracy",
-                RegimeWarning,
-                stacklevel=2,
-            )
 
     @property
     def T1(self) -> float:
@@ -156,19 +106,28 @@ class SegmentPairInput:
     def T2(self) -> float:
         return self.L2 / self.v
 
-    @property
-    def tau(self) -> float:
-        return self.ell / self.v
+
+def _require_ell(ell: float) -> None:
+    if not 0.0 < ell < math.inf:
+        raise ValueError("ell must be positive and finite")
+
+
+def _require_K_args(T: float, rho: float) -> None:
+    require_finite({"T": T, "rho": rho})
+    if not T > 0.0:
+        raise ValueError("flight time T must be positive")
+    if not rho > 0.0:
+        raise ValueError("separation rho must be positive")
 
 
 def kernel_K_closed(T: float, rho: float) -> float:
-    """Closed form of the coincident-segment kernel, either side of T = rho."""
-    KernelInput(T, rho)
+    """Closed form of the coincident-segment kernel, either side of T = rho.
+
+    Within 1e-12 relative of T = rho it returns the limit K_EQUAL_ARGS_LIMIT.
+    """
+    _require_K_args(T, rho)
     if abs(T - rho) <= 1e-12 * max(T, rho):
-        raise DegenerateInputError(
-            "closed form degenerates at T = rho; the limit there is -2 ln 2 "
-            "(K_EQUAL_ARGS_LIMIT)"
-        )
+        return K_EQUAL_ARGS_LIMIT
     return (T / rho) * math.log(abs(T - rho) / (T + rho)) - math.log(
         abs(T * T - rho * rho) / (rho * rho)
     )
@@ -182,9 +141,10 @@ def kernel_K_numeric(
     The integrand 2 (T - tau)/(tau^2 - rho^2) has a simple pole at
     tau = rho, inside the range only when rho < T; for rho > T the plain
     adaptive path is taken automatically.  rho = T puts the pole on the
-    boundary and raises PoleOnBoundaryError (use K_EQUAL_ARGS_LIMIT).
+    boundary and raises PoleOnBoundaryError (kernel_K_closed returns the
+    limit K_EQUAL_ARGS_LIMIT there).
     """
-    KernelInput(T, rho)
+    _require_K_args(T, rho)
 
     def f(tau):
         return 2.0 * (T - tau) / (tau * tau - rho * rho)
@@ -193,7 +153,11 @@ def kernel_K_numeric(
 
 
 def segment_J_ab_closed(
-    inp: SegmentPairInput, *, asymptotic: bool = False, excision: float | None = None
+    geom: IntersectingGeometry,
+    ell: float,
+    *,
+    asymptotic: bool = False,
+    excision: float | None = None,
 ) -> float:
     """Cross-segment static kernel of the V geometry.
 
@@ -201,14 +165,16 @@ def segment_J_ab_closed(
     (default tau/2) and both finite segment durations; the asymptotic flag
     returns the leading ln(L1/ell) instead.
     """
+    _require_ell(ell)
     if asymptotic:
         if excision is not None:
             raise ValueError("excision only applies to the exact form")
-        return math.log(inp.L1 / inp.ell)
-    d = 0.5 * inp.tau if excision is None else excision
-    if not 0.0 < d < inp.T1:
+        return math.log(geom.L1 / ell)
+    T1, T2 = geom.T1, geom.T2
+    d = 0.5 * (ell / geom.v) if excision is None else excision
+    if not 0.0 < d < T1:
         raise ValueError("excision half-width must lie in (0, T1)")
-    return math.log((inp.T1 + d) * (inp.T2 + d) / (2.0 * d * (inp.T1 + inp.T2)))
+    return math.log((T1 + d) * (T2 + d) / (2.0 * d * (T1 + T2)))
 
 
 def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
@@ -296,7 +262,8 @@ def _double_pv(
 
 
 def segment_I_aa(
-    inp: SegmentPairInput,
+    geom: IntersectingGeometry,
+    ell: float,
     cfg: QuadratureConfig | None = None,
     *,
     method: str = "closed",
@@ -310,17 +277,18 @@ def segment_I_aa(
     cutoff ell/v by default; for each outer t the inner poles sit at
     t (1 -+ s)/(1 +- s) with s = v sin(theta).
     """
-    s = inp.v * math.sin(inp.theta)
+    _require_ell(ell)
+    s = geom.v * math.sin(geom.theta)
     if method == "closed":
-        return math.log(inp.ell * s * s / inp.L1) + 2.0 * (math.log(2.0) - 1.0)
+        return math.log(ell * s * s / geom.L1) + 2.0 * (math.log(2.0) - 1.0)
     if method != "numeric":
         raise ValueError(f"unknown method: {method!r}")
     if 1.0 - s == 1.0 + s:
         raise ValueError(
             f"v sin(theta) = {s:.3g} is too small for the two I_aa poles to be distinct"
         )
-    c = inp.ell / inp.v if cutoff is None else cutoff
-    T1 = inp.T1
+    c = ell / geom.v if cutoff is None else cutoff
+    T1 = geom.T1
     if not 0.0 < c < T1:
         raise ValueError("cutoff must lie in (0, T1)")
 
@@ -337,7 +305,7 @@ def segment_I_aa(
 
 
 def segment_I_ab(
-    inp: SegmentPairInput,
+    geom: IntersectingGeometry,
     cfg: QuadratureConfig | None = None,
     *,
     method: str = "closed",
@@ -350,12 +318,12 @@ def segment_I_ab(
     pole at t' = t + 2 T1 v sin(theta) enters the t' range once t is
     within 2 T1 v sin(theta) of the vertex.
     """
-    s = inp.v * math.sin(inp.theta)
+    s = geom.v * math.sin(geom.theta)
     if method == "closed":
         return 1.0 - math.log(2.0 * s)
     if method != "numeric":
         raise ValueError(f"unknown method: {method!r}")
-    T1, T2 = inp.T1, inp.T2
+    T1, T2 = geom.T1, geom.T2
     c0 = 2.0 * T1 * s
 
     def g(t, tp):
@@ -370,7 +338,7 @@ def segment_I_ab(
     )
 
 
-def segment_I_bb(inp: SegmentPairInput) -> float:
+def segment_I_bb(geom: IntersectingGeometry) -> float:
     """Long-segment radiation kernel: the T >> rho asymptote of K with
     separation 2 L1 sin(theta) and duration T2."""
-    return -2.0 * (1.0 + math.log(inp.L2 / (2.0 * inp.L1 * inp.v * math.sin(inp.theta))))
+    return -2.0 * (1.0 + math.log(geom.L2 / (2.0 * geom.L1 * geom.v * math.sin(geom.theta))))

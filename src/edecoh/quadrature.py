@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def require_finite(fields: Mapping[str, float]) -> None:
+    """Reject non-finite values by name; they would pass every ordering check."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _default_excision_sequence() -> tuple[float, ...]:
     # geometric, ratio 1/2, 12 terms
     return tuple(0.5 ** k for k in range(1, 13))
@@ -64,6 +74,8 @@ class QuadratureConfig:
     they are rescaled so that the first (largest) entry maps to half of the
     pole's safe half-width (distance to the nearest boundary or to the
     midpoint toward a neighbouring pole).  Only the ratios matter.
+    rel_tol may not go below 4 eps, the floor the pieces of a principal
+    value already get.
     """
 
     rel_tol: float = 1e-10
@@ -74,15 +86,21 @@ class QuadratureConfig:
     )
 
     def __post_init__(self) -> None:
+        require_finite(
+            {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol,
+             "max_subdivisions": self.max_subdivisions}
+        )
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < 4.0 * _EPS:
+            raise ValueError(f"rel_tol must be at least 4 eps = {4.0 * _EPS:.3g}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         seq = tuple(float(e) for e in self.excision_sequence)
         if len(seq) < 3:
             raise ValueError("excision_sequence needs at least 3 entries")
-        if any(e <= 0.0 for e in seq):
-            raise ValueError("excision_sequence entries must be > 0")
+        if not all(0.0 < e < math.inf for e in seq):
+            raise ValueError("excision_sequence entries must be finite and > 0")
         if any(b >= a for a, b in zip(seq, seq[1:])):
             raise ValueError("excision_sequence must be strictly decreasing")
         object.__setattr__(self, "excision_sequence", seq)
@@ -141,9 +159,6 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 class _Integrand:
@@ -327,7 +342,8 @@ def _excisions(
 
     Row i of the (poles, stages) array scales shrink so that its first entry
     is a quarter of the room around pole i: the distance to the nearer
-    endpoint or half the gap to a neighbouring pole.
+    endpoint or half the gap to a neighbouring pole.  A pole whose smallest
+    half-width is not above the float spacing there cannot be excised.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -352,6 +368,11 @@ def _excisions(
             right_gap = interior[i + 1] - interior[i] if i < len(interior) - 1 else math.inf
             room = min(room, 0.5 * min(left_gap, right_gap))
         eps[i] = 0.5 * 0.5 * room * shrink
+        if not eps[i, -1] > np.spacing(abs(p)):
+            raise PoleSeparationError(
+                f"pole at {p!r} has too little room: its smallest excision half-width "
+                f"{eps[i, -1]:.3g} is not above the float spacing {np.spacing(abs(p)):.3g}"
+            )
     if len(interior) > 1:
         min_gap = min(q - p for p, q in zip(interior, interior[1:]))
         if min_gap <= 4.0 * eps[:, -1].min():

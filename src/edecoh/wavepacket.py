@@ -53,6 +53,7 @@ from .quadrature import (
     _tolerance,
     integrate_nd,
     require_converged,
+    require_finite,
 )
 
 __all__ = [
@@ -82,6 +83,7 @@ class UniformSphere:
     radius: float
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
 
@@ -94,6 +96,7 @@ class UniformCylinder:
     length: float
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if not self.length > 0.0:

@@ -25,8 +25,6 @@ from edecoh.decoherence import (
 )
 from edecoh.kernels import (
     K_EQUAL_ARGS_LIMIT,
-    RegimeWarning,
-    SegmentPairInput,
     kernel_K_closed,
     kernel_K_numeric,
     segment_I_aa,
@@ -50,14 +48,6 @@ THETA_NEAR_RIGHT = 0.5 * math.pi * (1.0 - 1e-12)
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  criterion {num:02d}  {name}: {detail}")
     assert ok, f"criterion {num:02d} {name}: {detail}"
-
-
-def _pair(**kw) -> SegmentPairInput:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return SegmentPairInput(**kw)
 
 
 def test_criterion_01_sphere_shape_constant():
@@ -165,14 +155,14 @@ def test_criterion_05_parallel_plateau():
 
 
 def test_criterion_06_intersecting_cancellation():
-    inp = _pair(L1=100.0, L2=10_000.0, ell=1.0, v=0.01, theta=0.5)
-    bracket = 2.0 * segment_I_aa(inp) + segment_I_bb(inp) + 4.0 * segment_I_ab(inp)
+    geom = IntersectingGeometry(L1=100.0, L2=10_000.0, theta=0.5, v=0.01)
+    ell = 1.0
+    bracket = 2.0 * segment_I_aa(geom, ell) + segment_I_bb(geom) + 4.0 * segment_I_ab(geom)
     target = -2.0 * (
-        1.0 - math.log(2.0) + math.log(inp.L2 / (inp.ell * inp.v * math.sin(inp.theta)))
+        1.0 - math.log(2.0) + math.log(geom.L2 / (ell * geom.v * math.sin(geom.theta)))
     )
     bracket_rel = abs(bracket - target) / abs(target)
 
-    geom = IntersectingGeometry(L1=100.0, L2=10_000.0, theta=0.5, v=0.01)
     geom_L2 = IntersectingGeometry(L1=100.0, L2=100_000.0, theta=0.5, v=0.01)
     base = w_total_intersecting(geom, UniformSphere(radius=0.5)).w_total
     ell_x10 = w_total_intersecting(geom, UniformSphere(radius=5.0)).w_total
@@ -189,22 +179,25 @@ def test_criterion_06_intersecting_cancellation():
 
 def test_criterion_07_segment_integral_oracles():
     t0 = time.perf_counter()
-    pair_ab = _pair(L1=1.0, L2=100.0, ell=1e-3, v=0.01, theta=math.pi / 4)
-    pair_aa = _pair(L1=1.0, L2=100.0, ell=1e-2, v=0.01, theta=math.pi / 6)
+    geom_ab = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 4, v=0.01)
+    geom_aa = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 6, v=0.01)
+    ell_aa = 1e-2
     rel_ab = abs(
-        segment_I_ab(pair_ab, method="numeric") - segment_I_ab(pair_ab)
-    ) / abs(segment_I_ab(pair_ab))
+        segment_I_ab(geom_ab, method="numeric") - segment_I_ab(geom_ab)
+    ) / abs(segment_I_ab(geom_ab))
     rel_aa = abs(
-        segment_I_aa(pair_aa, method="numeric") - segment_I_aa(pair_aa)
-    ) / abs(segment_I_aa(pair_aa))
+        segment_I_aa(geom_aa, ell_aa, method="numeric") - segment_I_aa(geom_aa, ell_aa)
+    ) / abs(segment_I_aa(geom_aa, ell_aa))
 
-    jpair = _pair(L1=1.0, L2=40.0, ell=0.01, v=0.1, theta=0.5)
+    jgeom = IntersectingGeometry(L1=1.0, L2=40.0, theta=0.5, v=0.1)
+    jell = 0.01
+    T1, tau = jgeom.T1, jell / jgeom.v
     oracle = integrate_nd(
         lambda t, tp: (t - tp) ** -2.0,
-        [(0.0, jpair.T1 - 0.5 * jpair.tau), (jpair.T1 + 0.5 * jpair.tau, jpair.T1 + jpair.T2)],
+        [(0.0, T1 - 0.5 * tau), (T1 + 0.5 * tau, T1 + jgeom.T2)],
         QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13),
     )
-    rel_j = abs(segment_J_ab_closed(jpair) - oracle.value) / abs(oracle.value)
+    rel_j = abs(segment_J_ab_closed(jgeom, jell) - oracle.value) / abs(oracle.value)
     elapsed = time.perf_counter() - t0
     ok = rel_ab <= 0.02 and rel_aa <= 0.02 and oracle.converged and rel_j <= 1e-8 and elapsed < 120.0
     _report(

@@ -61,6 +61,14 @@ class TestKappaSweep:
         assert rc == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["3", "5"]
 
+    def test_rel_tol_below_four_eps_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = _run(capsys, ["kappa-sweep", "--rel-tol", "1e-300"])
+        assert rc == 2
+        assert out == ""
+        assert "rel_tol must be at least 4 eps" in err
+        assert time.perf_counter() - start < 10.0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -117,6 +125,11 @@ class TestParallelCommand:
         assert len(lines) == 5
         totals = [float(line.split(",")[3]) for line in lines[1:]]
         assert abs(totals[-1] - totals[-2]) < 1e-3 * abs(totals[-1])
+
+    def test_flight_time_equal_to_separation_takes_the_limit(self, capsys):
+        rc, out, _ = _run(capsys, ["parallel", "--r0", "1", "--T", "1"])
+        assert rc == 0
+        assert "K = -1.38629436112\n" in out
 
     def test_regime_notes_are_printed(self, capsys):
         rc, out, _ = _run(capsys, ["parallel", "--r0", "2", "--T", "1e6"])
@@ -183,6 +196,11 @@ class TestIntersectCommand:
             (["intersect", "--branch", "assembled", "--L1", "inf"], "L1"),
             (["intersect", "--branch", "assembled", "--L2", "inf"], "L2"),
             (["parallel", "--r0", "inf"], "r0"),
+            (["parallel", "--radius", "inf"], "radius"),
+            (["intersect", "--radius", "inf"], "radius"),
+            (["intersect", "--shape", "cylinder", "--length", "nan"], "length"),
+            (["validity", "--energy-ev", "inf"], "energy"),
+            (["kappa-sweep", "--rel-tol", "inf"], "rel_tol"),
         ],
     )
     def test_non_finite_input_is_named(self, capsys, argv, name):
@@ -199,6 +217,16 @@ class TestIntersectCommand:
         assert rc == 3
         assert "I_aa numeric" in err and "budget" in err
         assert time.perf_counter() - start < 60.0
+
+    @pytest.mark.parametrize("v", ["2e-16", "1e-13"])
+    def test_assembled_excision_below_float_spacing_exits_2(self, capsys, v):
+        # the two I_aa poles are distinct floats, but too close to excise
+        start = time.perf_counter()
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--v", v])
+        assert rc == 2
+        assert out == ""
+        assert "float spacing" in err
+        assert time.perf_counter() - start < 10.0
 
     def test_assembled_speed_below_pole_resolution_exits_2(self, capsys):
         start = time.perf_counter()
@@ -256,6 +284,8 @@ class TestValidityCommand:
         rc, out, _ = _run(capsys, ["validity", "--energy-ev", "1e5", "--dx0", "1"])
         assert rc == 0
         assert any(line.startswith("note:") for line in out.splitlines())
+        _, out, _ = _run(capsys, ["validity", "--energy-ev", "1e4", "--dx0", "1"])
+        assert "note:" not in out
 
     def test_negative_energy_exits_2(self, capsys):
         rc, _, err = _run(capsys, ["validity", "--energy-ev", "-1", "--dx0", "1"])

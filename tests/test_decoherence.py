@@ -15,29 +15,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edecoh.kernels import DegenerateInputError, RegimeWarning
 from edecoh.decoherence import (
+    RELATIVISTIC_NOTE,
     DecoherenceResult,
     IntersectingGeometry,
     ParallelGeometry,
     PhysicalConstants,
-    RelativisticRegimeWarning,
     ValidityInput,
     check_regime,
     interference_pattern,
     max_flight_distance,
-    w_photon_intersecting,
     w_photon_parallel,
     w_total_intersecting,
     w_total_parallel,
-    w_vacuum_intersecting,
     w_vacuum_parallel,
 )
-from edecoh.kernels import segment_J_straight
+from edecoh.kernels import K_EQUAL_ARGS_LIMIT, segment_J_ab_closed, segment_J_straight
 from edecoh.wavepacket import KappaResult, UniformSphere
 
 ALPHA = PhysicalConstants().alpha_fs
 SPHERE_ELL_1 = UniformSphere(0.5)
+
+
+def _vacuum_exact_J_ab(geom: IntersectingGeometry) -> float:
+    """-(alpha/2 pi)[2 J_aa + J_bb + 4 J_ab] with the exact cross term, ell = 1."""
+    J = (
+        2.0 * segment_J_straight(geom.L1, 1.0, geom.v, -1.5)
+        + segment_J_straight(geom.L2, 1.0, geom.v, -1.5)
+        + 4.0 * segment_J_ab_closed(geom, 1.0)
+    )
+    return -0.5 * ALPHA / math.pi * J
 
 
 class TestInputs:
@@ -67,14 +74,23 @@ class TestInputs:
             ValidityInput(energy=-1.0, dx0=1e-6)
         with pytest.raises(ValueError):
             ValidityInput(energy=1e4, dx0=0.0)
+        with pytest.raises(ValueError, match="energy must be finite"):
+            ValidityInput(energy=math.inf, dx0=1e-6)
+        with pytest.raises(ValueError, match="dx0 must be finite"):
+            ValidityInput(energy=1e4, dx0=math.nan)
+        with pytest.raises(ValueError, match="electron_mass must be finite"):
+            ValidityInput(energy=1e4, dx0=1e-6, electron_mass=math.inf)
 
 
 class TestParallel:
     def test_vacuum_zero_bracket(self):
         geom = ParallelGeometry(r0=1.0, T=1.0, v=0.1)
         kap = KappaResult(kappa=2.0, error_estimate=0.0, ell=1.0)
-        with pytest.warns(RegimeWarning):
-            assert w_vacuum_parallel(geom, kap) == 0.0
+        assert w_vacuum_parallel(geom, kap) == 0.0
+        # T = ell here, which the regime notes report
+        assert "flight time T is within a factor 10 of the wavepacket size" in check_regime(
+            geom, SPHERE_ELL_1
+        )
 
     def test_vacuum_sphere_value(self):
         geom = ParallelGeometry(r0=10.0, T=100.0, v=0.1)
@@ -108,8 +124,8 @@ class TestParallel:
             assert math.exp(w_photon_parallel(geom, mode="asymptotic")) <= 1.0
 
     def test_photon_degenerate_point(self):
-        with pytest.raises(DegenerateInputError):
-            w_photon_parallel(ParallelGeometry(r0=2.0, T=2.0, v=0.1))
+        val = w_photon_parallel(ParallelGeometry(r0=2.0, T=2.0, v=0.1))
+        assert val == ALPHA / math.pi * K_EQUAL_ARGS_LIMIT
 
     def test_photon_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -128,7 +144,7 @@ class TestParallel:
         plateau = ALPHA / math.pi * (2.0 * math.log(100.0) + 1.5)
         assert abs(res.w_total - plateau) <= 0.005 * plateau
         assert abs(res.w_total - 0.024880) < 1e-5
-        assert res.regime_warnings == []
+        assert res.notes == []
         assert res.breakdown["kappa"] == -1.5
 
     def test_total_flight_time_independence(self):
@@ -193,31 +209,25 @@ class TestIntersecting:
 
     def test_vacuum_asymptotic_branch_closed_form(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.1)
-        wv = w_vacuum_intersecting(geom, SPHERE_ELL_1, j_ab="asymptotic")
+        wv = w_total_intersecting(geom, SPHERE_ELL_1).w_vacuum
         expect = 0.5 * ALPHA / math.pi * (3.0 * 3.5 + 2.0 * math.log(1e4 / (1.0 * 0.1**3)))
         assert math.isclose(wv, expect, rel_tol=1e-12)
 
     def test_vacuum_exact_branch_near_asymptotic(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.1)
-        exact = w_vacuum_intersecting(geom, SPHERE_ELL_1)
-        asym = w_vacuum_intersecting(geom, SPHERE_ELL_1, j_ab="asymptotic")
+        exact = _vacuum_exact_J_ab(geom)
+        asym = w_total_intersecting(geom, SPHERE_ELL_1).w_vacuum
         assert abs(exact - asym) < 0.01 * abs(asym)
-        with pytest.raises(ValueError):
-            w_vacuum_intersecting(geom, SPHERE_ELL_1, j_ab="other")
 
     def test_vacuum_short_arm_cancellation(self):
         # the exact cross term retains only O(ell/L1, L1/L2) sensitivity
-        a = w_vacuum_intersecting(
-            IntersectingGeometry(L1=300.0, L2=1e6, theta=0.5, v=0.1), SPHERE_ELL_1
-        )
-        b = w_vacuum_intersecting(
-            IntersectingGeometry(L1=3000.0, L2=1e6, theta=0.5, v=0.1), SPHERE_ELL_1
-        )
+        a = _vacuum_exact_J_ab(IntersectingGeometry(L1=300.0, L2=1e6, theta=0.5, v=0.1))
+        b = _vacuum_exact_J_ab(IntersectingGeometry(L1=3000.0, L2=1e6, theta=0.5, v=0.1))
         assert abs(a - b) < 1e-3 * abs(a)
 
     def test_photon_telescoped_form(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=THETA_NEAR_RIGHT, v=0.1)
-        wg = w_photon_intersecting(geom, SPHERE_ELL_1)
+        wg = w_total_intersecting(geom, SPHERE_ELL_1).w_photon
         expect = -ALPHA / math.pi * (1.0 - math.log(2.0) + math.log(1e5))
         assert math.isclose(wg, expect, rel_tol=1e-12)
         assert wg < 0.0
@@ -231,7 +241,7 @@ class TestIntersecting:
     @settings(max_examples=40, deadline=None)
     def test_photon_always_decoheres_in_regime(self, theta, v, l2_over_l1):
         geom = IntersectingGeometry(L1=100.0, L2=100.0 * l2_over_l1, theta=theta, v=v)
-        assert w_photon_intersecting(geom, SPHERE_ELL_1) < 0.0
+        assert w_total_intersecting(geom, SPHERE_ELL_1).w_photon < 0.0
 
     def test_assembled_branch_agrees_with_closed(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
@@ -300,9 +310,13 @@ class TestValidity:
         small = max_flight_distance(ValidityInput(energy=1e4, dx0=1e-8))
         assert math.isclose(small, 1e-4 * base, rel_tol=1e-12)
 
-    def test_relativistic_warning(self):
-        with pytest.warns(RelativisticRegimeWarning):
-            max_flight_distance(ValidityInput(energy=1e5, dx0=1e-6))
+    def test_relativistic_note(self):
+        assert ValidityInput(energy=1e5, dx0=1e-6).relativistic
+        assert not ValidityInput(energy=1e4, dx0=1e-6).relativistic
+        # a generous dx0 keeps the spreading-bound note out
+        hot = ValidityInput(energy=1e5, dx0=1e-3)
+        geom = ParallelGeometry(r0=100.0, T=1e4 * 100.0, v=0.01)
+        assert check_regime(geom, SPHERE_ELL_1, validity=hot) == [RELATIVISTIC_NOTE]
 
     def test_check_regime_clean(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
@@ -316,6 +330,13 @@ class TestValidity:
         assert any("L1" in n for n in notes)
         fast = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.9)
         assert any("nonrelativistic" in n for n in check_regime(fast, SPHERE_ELL_1))
+        # one condition at a time, each with its own note
+        short_arm = IntersectingGeometry(L1=100.0, L2=500.0, theta=0.5, v=0.01)
+        assert check_regime(short_arm, SPHERE_ELL_1) == ["L2 is within a factor 10 of L1"]
+        wide = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.9, v=0.29)
+        assert check_regime(wide, SPHERE_ELL_1) == [
+            "v sin(theta) exceeds 0.2; small-speed kernels lose accuracy"
+        ]
 
     def test_check_regime_spreading_bound(self):
         # a kilometer-scale flight at micrometer units violates the bound

@@ -10,7 +10,6 @@ principal-value quadrature in their small-speed regime.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +24,7 @@ from edecoh.quadrature import (
 )
 from edecoh.kernels import (
     K_EQUAL_ARGS_LIMIT,
-    DegenerateInputError,
-    KernelInput,
-    RegimeWarning,
-    SegmentPairInput,
+    IntersectingGeometry,
     kernel_K_closed,
     kernel_K_numeric,
     segment_I_aa,
@@ -39,54 +35,47 @@ from edecoh.kernels import (
 )
 
 
-def _quiet_pair(**kw) -> SegmentPairInput:
-    # some tests deliberately sit outside the asymptotic regime
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return SegmentPairInput(**kw)
+def _geom(L1=1.0, L2=100.0, theta=0.5, v=0.1) -> IntersectingGeometry:
+    return IntersectingGeometry(L1=L1, L2=L2, theta=theta, v=v)
 
 
 class TestInputs:
     def test_kernel_input_validation(self):
-        with pytest.raises(ValueError):
-            KernelInput(0.0, 1.0)
-        with pytest.raises(ValueError):
-            KernelInput(1.0, -2.0)
-        with pytest.raises(ValueError, match="T must be finite"):
-            KernelInput(math.inf, 1.0)
-        with pytest.raises(ValueError, match="rho must be finite"):
-            KernelInput(1.0, math.nan)
+        for K in (kernel_K_closed, kernel_K_numeric):
+            with pytest.raises(ValueError, match="T must be positive"):
+                K(0.0, 1.0)
+            with pytest.raises(ValueError, match="rho must be positive"):
+                K(1.0, -2.0)
+            with pytest.raises(ValueError, match="T must be finite"):
+                K(math.inf, 1.0)
+            with pytest.raises(ValueError, match="rho must be finite"):
+                K(1.0, math.nan)
 
-    def test_segment_pair_hard_errors(self):
-        good = dict(L1=1.0, L2=100.0, ell=1e-3, v=0.1, theta=0.5)
+    def test_geometry_hard_errors(self):
+        good = dict(L1=1.0, L2=100.0, theta=0.5, v=0.1)
         for bad in (
             dict(L1=0.0),
             dict(L2=-1.0),
-            dict(ell=0.0),
             dict(v=0.0),
             dict(v=1.0),
             dict(theta=0.0),
             dict(theta=math.pi / 2),
         ):
             with pytest.raises(ValueError):
-                SegmentPairInput(**{**good, **bad})
+                IntersectingGeometry(**{**good, **bad})
         for name in good:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                SegmentPairInput(**{**good, name: math.inf})
-
-    def test_segment_pair_soft_warnings(self):
-        with pytest.warns(RegimeWarning, match="factor 10 of ell"):
-            SegmentPairInput(L1=1.0, L2=100.0, ell=0.5, v=0.1, theta=0.5)
-        with pytest.warns(RegimeWarning, match="factor 10 of L1"):
-            SegmentPairInput(L1=1.0, L2=5.0, ell=1e-3, v=0.1, theta=0.5)
-        with pytest.warns(RegimeWarning, match="sin"):
-            SegmentPairInput(L1=1.0, L2=100.0, ell=1e-3, v=0.5, theta=0.9)
+                IntersectingGeometry(**{**good, name: math.inf})
+        geom = IntersectingGeometry(**good)
+        for ell in (0.0, -1e-3, math.inf, math.nan):
+            for kernel in (segment_J_ab_closed, segment_I_aa):
+                with pytest.raises(ValueError, match="ell must be positive and finite"):
+                    kernel(geom, ell)
 
     def test_derived_times(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-2, v=0.1, theta=0.5)
-        assert inp.T1 == 10.0
-        assert inp.T2 == 1000.0
-        assert inp.tau == pytest.approx(0.1)
+        geom = _geom()
+        assert geom.T1 == 10.0
+        assert geom.T2 == 1000.0
 
 
 class TestCoincidentKernel:
@@ -109,8 +98,7 @@ class TestCoincidentKernel:
         assert math.isclose(closed, numeric.value, rel_tol=1e-10)
 
     def test_degenerate_point(self):
-        with pytest.raises(DegenerateInputError):
-            kernel_K_closed(3.0, 3.0)
+        assert kernel_K_closed(3.0, 3.0) == K_EQUAL_ARGS_LIMIT
         with pytest.raises(PoleOnBoundaryError):
             kernel_K_numeric(3.0, 3.0)
 
@@ -143,35 +131,34 @@ class TestCoincidentKernel:
 
 class TestStaticKernels:
     def test_J_ab_exact_matches_double_integral(self):
-        inp = _quiet_pair(L1=1.0, L2=40.0, ell=0.01, v=0.1, theta=0.5)
-        T1, T2, tau = inp.T1, inp.T2, inp.tau
+        geom, ell = _geom(L2=40.0), 0.01
+        T1, T2, tau = geom.T1, geom.T2, ell / geom.v
         oracle = integrate_nd(
             lambda t, tp: (t - tp) ** -2.0,
             [(0.0, T1 - 0.5 * tau), (T1 + 0.5 * tau, T1 + T2)],
             QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13),
         )
         assert oracle.converged
-        assert math.isclose(segment_J_ab_closed(inp), oracle.value, rel_tol=1e-8)
+        assert math.isclose(segment_J_ab_closed(geom, ell), oracle.value, rel_tol=1e-8)
 
     def test_J_ab_asymptotic(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1.0, v=0.1, theta=0.5)
-        assert segment_J_ab_closed(inp, asymptotic=True) == 0.0
-        inp2 = _quiet_pair(L1=5.0, L2=500.0, ell=0.25, v=0.1, theta=0.5)
-        assert math.isclose(segment_J_ab_closed(inp2, asymptotic=True), math.log(20.0), rel_tol=1e-14)
+        assert segment_J_ab_closed(_geom(), 1.0, asymptotic=True) == 0.0
+        geom2 = _geom(L1=5.0, L2=500.0)
+        assert math.isclose(segment_J_ab_closed(geom2, 0.25, asymptotic=True), math.log(20.0), rel_tol=1e-14)
 
     def test_J_ab_long_second_segment_limit(self):
-        inp = _quiet_pair(L1=1.0, L2=1e9, ell=0.01, v=0.1, theta=0.5)
-        assert abs(segment_J_ab_closed(inp) - math.log(100.0 + 0.5)) < 1e-6
+        assert abs(segment_J_ab_closed(_geom(L2=1e9), 0.01) - math.log(100.0 + 0.5)) < 1e-6
 
     def test_J_ab_excision_parameter(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=0.01, v=0.1, theta=0.5)
-        assert segment_J_ab_closed(inp, excision=0.5 * inp.tau) == segment_J_ab_closed(inp)
+        geom, ell = _geom(), 0.01
+        tau = ell / geom.v
+        assert segment_J_ab_closed(geom, ell, excision=0.5 * tau) == segment_J_ab_closed(geom, ell)
         # widening the excision must shrink the (positive) cross term
-        assert segment_J_ab_closed(inp, excision=2.0 * inp.tau) < segment_J_ab_closed(inp)
+        assert segment_J_ab_closed(geom, ell, excision=2.0 * tau) < segment_J_ab_closed(geom, ell)
         with pytest.raises(ValueError):
-            segment_J_ab_closed(inp, excision=2.0 * inp.T1)
+            segment_J_ab_closed(geom, ell, excision=2.0 * geom.T1)
         with pytest.raises(ValueError):
-            segment_J_ab_closed(inp, asymptotic=True, excision=1.0)
+            segment_J_ab_closed(geom, ell, asymptotic=True, excision=1.0)
 
     def test_J_straight_values(self):
         # log term vanishes at L = ell v, leaving -2 + kappa
@@ -193,19 +180,16 @@ class TestRadiationKernels:
         # ell v^2 sin^2(theta) = L1 kills the log
         v, theta = 0.9, 1.0
         ell = 1.0 / (v * math.sin(theta)) ** 2
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=ell, v=v, theta=theta)
-        assert segment_I_aa(inp) == pytest.approx(2.0 * (math.log(2.0) - 1.0), abs=1e-12)
+        assert segment_I_aa(_geom(theta=theta, v=v), ell) == pytest.approx(
+            2.0 * (math.log(2.0) - 1.0), abs=1e-12
+        )
 
     def test_I_ab_closed_log_argument_one(self):
         v, theta = 0.9, math.asin(0.5 / 0.9)
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-3, v=v, theta=theta)
-        assert segment_I_ab(inp) == pytest.approx(1.0, abs=1e-12)
+        assert segment_I_ab(_geom(theta=theta, v=v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_I_ab_closed_decreases_with_speed(self):
-        vals = [
-            segment_I_ab(_quiet_pair(L1=1.0, L2=100.0, ell=1e-3, v=v, theta=0.5))
-            for v in (0.01, 0.05, 0.2, 0.8)
-        ]
+        vals = [segment_I_ab(_geom(v=v)) for v in (0.01, 0.05, 0.2, 0.8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     @given(
@@ -215,41 +199,41 @@ class TestRadiationKernels:
     )
     @settings(max_examples=40, deadline=None)
     def test_I_aa_closed_negative_in_regime(self, v, theta, scale):
-        inp = _quiet_pair(L1=scale, L2=200.0 * scale, ell=1e-3 * scale, v=v, theta=theta)
-        assert segment_I_aa(inp) < 0.0
+        geom = _geom(L1=scale, L2=200.0 * scale, theta=theta, v=v)
+        assert segment_I_aa(geom, 1e-3 * scale) < 0.0
 
     def test_I_ab_numeric_vs_closed(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-3, v=0.01, theta=math.pi / 4)
-        closed = segment_I_ab(inp)
-        numeric = segment_I_ab(inp, method="numeric")
+        geom = _geom(theta=math.pi / 4, v=0.01)
+        closed = segment_I_ab(geom)
+        numeric = segment_I_ab(geom, method="numeric")
         assert abs(closed - numeric) <= 0.02 * abs(numeric)
 
     def test_I_aa_numeric_vs_closed_small_geometry(self):
         # cheaper scale separation than the headline regime; the closed
         # form carries O(ell/L1) cutoff corrections, so 2% here
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-2, v=0.01, theta=math.pi / 6)
-        closed = segment_I_aa(inp)
-        numeric = segment_I_aa(inp, method="numeric")
+        geom = _geom(theta=math.pi / 6, v=0.01)
+        closed = segment_I_aa(geom, 1e-2)
+        numeric = segment_I_aa(geom, 1e-2, method="numeric")
         assert abs(closed - numeric) <= 0.02 * abs(numeric)
 
     def test_unknown_method(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-3, v=0.01, theta=0.5)
+        geom = _geom(v=0.01)
         with pytest.raises(ValueError):
-            segment_I_aa(inp, method="magic")
+            segment_I_aa(geom, 1e-3, method="magic")
         with pytest.raises(ValueError):
-            segment_I_ab(inp, method="magic")
+            segment_I_ab(geom, method="magic")
 
     def test_I_aa_cutoff_validation(self):
-        inp = _quiet_pair(L1=1.0, L2=100.0, ell=1e-3, v=0.01, theta=0.5)
+        geom = _geom(v=0.01)
         with pytest.raises(ValueError):
-            segment_I_aa(inp, method="numeric", cutoff=2.0 * inp.T1)
+            segment_I_aa(geom, 1e-3, method="numeric", cutoff=2.0 * geom.T1)
 
     def test_I_bb_log_argument_one(self):
-        v, theta = 0.25, 1.0
+        # 2 v sin(theta) > 1 keeps L2 above L1
+        v, theta = 0.9, 1.2
         L1 = 1.0
         L2 = 2.0 * L1 * v * math.sin(theta)
-        inp = _quiet_pair(L1=L1, L2=L2, ell=1e-4, v=v, theta=theta)
-        assert segment_I_bb(inp) == pytest.approx(-2.0, abs=1e-12)
+        assert segment_I_bb(_geom(L1=L1, L2=L2, theta=theta, v=v)) == pytest.approx(-2.0, abs=1e-12)
 
     def test_I_bb_is_coincident_kernel_asymptote(self):
         # I_bb is K(T2, 2 L1 sin(theta)) in the long-time limit; at time
@@ -258,7 +242,7 @@ class TestRadiationKernels:
         L1 = 1.0
         rho = 2.0 * L1 * math.sin(theta)
         L2 = 100.0 * rho * v
-        inp = _quiet_pair(L1=L1, L2=L2, ell=1e-4, v=v, theta=theta)
-        exact = kernel_K_closed(inp.T2, rho)
-        assert abs(segment_I_bb(inp) - exact) <= 3.0 / 100.0
-        assert abs(segment_I_bb(inp) - exact) <= 1e-3
+        geom = _geom(L1=L1, L2=L2, theta=theta, v=v)
+        exact = kernel_K_closed(geom.T2, rho)
+        assert abs(segment_I_bb(geom) - exact) <= 3.0 / 100.0
+        assert abs(segment_I_bb(geom) - exact) <= 1e-3
