@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edecoh.decoherence import check_regime
 from edecoh.quadrature import (
     PoleOnBoundaryError,
     QuadratureConfig,
@@ -33,6 +34,7 @@ from edecoh.kernels import (
     segment_J_ab_closed,
     segment_J_straight,
 )
+from edecoh.wavepacket import UniformSphere
 
 
 def _geom(L1=1.0, L2=100.0, theta=0.5, v=0.1) -> IntersectingGeometry:
@@ -71,6 +73,22 @@ class TestInputs:
             for kernel in (segment_J_ab_closed, segment_I_aa):
                 with pytest.raises(ValueError, match="ell must be positive and finite"):
                     kernel(geom, ell)
+
+    def test_segment_pair_soft_warnings(self):
+        # the three soft scale conditions are reported as check_regime notes
+        def notes(ell, **kw):
+            return check_regime(_geom(**kw), UniformSphere(0.5 * ell))
+
+        assert "L1 is within a factor 10 of the wavepacket size" in notes(
+            0.5, L1=1.0, L2=100.0, v=0.1, theta=0.5
+        )
+        assert "L2 is within a factor 10 of L1" in notes(
+            1e-3, L1=1.0, L2=5.0, v=0.1, theta=0.5
+        )
+        assert any(
+            "sin(theta)" in n for n in notes(1e-3, L1=1.0, L2=100.0, v=0.5, theta=0.9)
+        )
+        assert notes(1e-3, L1=1.0, L2=100.0, v=0.1, theta=0.5) == []
 
     def test_derived_times(self):
         geom = _geom()
