@@ -29,7 +29,7 @@ With the asymptotic cross term the static sum telescopes to
 
 in which both ell and L2 cancel identically; the closed branch realizes
 that cancellation to rounding, while the assembled branch keeps the exact
-cross term and the numeric radiation integrals for cross-checks.
+cross terms J_ab and I_ab and the numeric I_aa for cross-checks.
 
 Positive W (possible here: vacuum fluctuations can recohere an initially
 fuzzy phase) is reported as-is, never clamped.
@@ -206,10 +206,10 @@ def w_total_intersecting(
     closed: asymptotic cross term and closed radiation kernels, realizing
     the exact cancellation of ell and L2; the total equals
     (alpha/2 pi) [2 ln(2 sin(theta)/v^2) + 4 - 3 kappa] to rounding.
-    assembled: exact cross term and principal-value radiation integrals
-    (the bb piece keeps the full coincident kernel); slower, carries the
-    quadrature error budget, and retains the O(ell/L1, L1/L2) remainders
-    that the closed branch drops.
+    assembled: exact cross terms J_ab and I_ab, the principal-value I_aa
+    and the full coincident kernel for the bb piece; slower, carries the
+    I_aa quadrature error budget, and retains the O(ell/L1, L1/L2)
+    remainders that the closed branch drops.
     """
     if branch not in ("closed", "assembled"):
         raise ValueError(f"unknown branch: {branch!r}")
@@ -225,7 +225,7 @@ def w_total_intersecting(
     else:
         J_ab = segment_J_ab_closed(geom, kap.ell)
         I_aa = segment_I_aa(geom, kap.ell, cfg, method="numeric")
-        I_ab = segment_I_ab(geom, cfg, method="numeric")
+        I_ab = segment_I_ab(geom, method="exact")
         I_bb = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
     J = 2.0 * J_aa + J_bb + 4.0 * J_ab
     I = 2.0 * I_aa + I_bb + 4.0 * I_ab

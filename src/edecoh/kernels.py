@@ -29,11 +29,25 @@ Three kernel families enter the decoherence exponents:
   and to ln(L1/ell) asymptotically.  The same-segment pieces J_aa, J_bb
   share one form, J_straight = -2 + kappa - 2 ln(L/(ell v)).
 
-* I kernels: radiation pieces of the same geometry, small-v closed forms
-  with principal-value double integrals as their numeric counterparts.
-  Branch selection is always explicit; the closed forms drop O(v) to
-  O(v ln v) terms depending on the kernel, so no function silently
-  substitutes an asymptote for the requested branch.
+* I kernels: radiation pieces of the same geometry.  Each has a small-v
+  closed form; branch selection is always explicit, so no function
+  silently substitutes an asymptote for the requested branch.  The cross
+  term I_ab is the principal-value double integral of
+  [(t' - t)^2 - c^2]^-1, c = 2 T1 v sin(theta), over t in [0, T1] and t'
+  in [T1, T1 + T2].  The integrand depends only on u = t' - t, so the
+  integral is exact as a sum over the rectangle's four corners,
+
+      I_ab = G(T1 + T2) - G(T2) - G(T1) + G(0),
+      G(u) = [(u - c) ln|u - c| - (u + c) ln|u + c|] / (2c),
+
+  with G'' = 1/(u^2 - c^2).  With s = v sin(theta), the small-v form
+  1 - ln(2 s) drops the remainder
+
+      I_ab - (1 - ln 2s) = -ln(1 + L1/L2)
+                           - (2/3) s^2 [1 + (L1/L2)^2 - (L1/(L1 + L2))^2]
+                           + O(s^4).
+
+  The self term I_aa keeps a numeric principal-value double integral.
 
 The V-geometry kernels take an IntersectingGeometry and, where the
 wavepacket cutoff enters, its size ell.
@@ -129,7 +143,7 @@ def kernel_K_closed(T: float, rho: float) -> float:
     if abs(T - rho) <= 1e-12 * max(T, rho):
         return K_EQUAL_ARGS_LIMIT
     return (T / rho) * math.log(abs(T - rho) / (T + rho)) - math.log(
-        abs(T * T - rho * rho) / (rho * rho)
+        abs((T - rho) * (T + rho)) / (rho * rho)
     )
 
 
@@ -186,12 +200,11 @@ def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
     return -2.0 + kappa - 2.0 * math.log(L / (ell * v))
 
 
-# numeric radiation kernels: the outer integral sees the inner PV value as
-# a smooth function except for integrable log spikes where a pole crosses
-# the inner boundary.  These are validation oracles for closed forms that
-# themselves carry O(v ln v) truncation, so the outer tolerance is set for
-# ~1e-4 relative accuracy; tightening it multiplies the inner work, which
-# _I_NUMERIC_MAX_EVALS caps.
+# numeric I_aa: the outer integral sees the inner PV value as a smooth
+# function except for integrable log spikes where a pole crosses the inner
+# boundary.  It validates a closed form that itself carries O(v ln v)
+# truncation, so the outer tolerance is set for ~1e-4 relative accuracy;
+# tightening it multiplies the inner work, which _I_NUMERIC_MAX_EVALS caps.
 _I_NUMERIC_CFG = QuadratureConfig(
     rel_tol=3e-5,
     abs_tol=1e-8,
@@ -199,8 +212,8 @@ _I_NUMERIC_CFG = QuadratureConfig(
     excision_sequence=tuple(0.5**k for k in range(1, 9)),
 )
 
-# inner integrand evaluations one numeric I_aa or I_ab may spend; the
-# default V geometry spends 1.3M on I_aa and 0.3M on I_ab
+# inner integrand evaluations one numeric I_aa may spend; the default V
+# geometry spends 1.3M
 _I_NUMERIC_MAX_EVALS = 20_000_000
 
 
@@ -304,38 +317,35 @@ def segment_I_aa(
     return _double_pv(g, poles, (c, T1), (c, T1), bps, cfg or _I_NUMERIC_CFG, "I_aa numeric")
 
 
-def segment_I_ab(
-    geom: IntersectingGeometry,
-    cfg: QuadratureConfig | None = None,
-    *,
-    method: str = "closed",
-) -> float:
+def _corner_G(u: float, c: float) -> float:
+    """Second antiderivative of 1/(u^2 - c^2) for u > 0, c > 0 (see I_ab).
+
+    Well above the pole it is written through atanh, so that no
+    cancellation is left for c << u; within a factor 2 of it the log form
+    loses nothing.
+    """
+    if u > 2.0 * c:
+        return -(u / c) * math.atanh(c / u) - 0.5 * math.log((u - c) * (u + c))
+    d = u - c
+    return ((d * math.log(abs(d)) if d else 0.0) - (u + c) * math.log(u + c)) / (2.0 * c)
+
+
+def segment_I_ab(geom: IntersectingGeometry, *, method: str = "closed") -> float:
     """Cross-segment radiation kernel of the V geometry.
 
-    closed: 1 - ln(2 v sin(theta)), the small-v form.  numeric:
-    principal-value double integral of [(t - t')^2 - 4 T1^2 v^2
-    sin^2(theta)]^-1 for t in the first segment and t' in the second; the
-    pole at t' = t + 2 T1 v sin(theta) enters the t' range once t is
-    within 2 T1 v sin(theta) of the vertex.
+    closed: 1 - ln(2 v sin(theta)), the small-v form.  exact: the
+    four-corner sum of the principal-value double integral (module
+    docstring), to rounding.
     """
     s = geom.v * math.sin(geom.theta)
     if method == "closed":
         return 1.0 - math.log(2.0 * s)
-    if method != "numeric":
+    if method != "exact":
         raise ValueError(f"unknown method: {method!r}")
     T1, T2 = geom.T1, geom.T2
-    c0 = 2.0 * T1 * s
-
-    def g(t, tp):
-        return 1.0 / ((t - tp) ** 2 - c0 * c0)
-
-    def poles(t):
-        return (t + c0)[:, None]
-
-    bps = (T1 - c0,) if 0.0 < T1 - c0 < T1 else ()
-    return _double_pv(
-        g, poles, (T1, T1 + T2), (0.0, T1), bps, cfg or _I_NUMERIC_CFG, "I_ab numeric"
-    )
+    c = 2.0 * T1 * s
+    # G(0) = -ln c
+    return _corner_G(T1 + T2, c) - _corner_G(T2, c) - _corner_G(T1, c) - math.log(c)
 
 
 def segment_I_bb(geom: IntersectingGeometry) -> float:

@@ -4,7 +4,9 @@ Every closed form is held against an independently written quadrature of
 its defining integral: the coincident kernel against its principal-value
 integral, the cross static kernel against the elementary double integral
 over the two excised segments, and the radiation kernels against nested
-principal-value quadrature in their small-speed regime.
+principal-value quadrature in their small-speed regime.  The exact
+four-corner I_ab is held against that quadrature and against a 50-digit
+mpmath evaluation of the same corners.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ from edecoh.wavepacket import UniformSphere
 
 def _geom(L1=1.0, L2=100.0, theta=0.5, v=0.1) -> IntersectingGeometry:
     return IntersectingGeometry(L1=L1, L2=L2, theta=theta, v=v)
+
+
+def _I_ab_mpmath(mpmath, geom: IntersectingGeometry):
+    """Four-corner sum of I_ab in the plain log form, at 50 digits."""
+    with mpmath.workdps(50):
+        T1, T2 = mpmath.mpf(geom.T1), mpmath.mpf(geom.T2)
+        c = 2 * T1 * mpmath.mpf(geom.v) * mpmath.sin(mpmath.mpf(geom.theta))
+
+        def G(u):
+            if u == 0:
+                return -mpmath.log(c)
+            return ((u - c) * mpmath.log(abs(u - c)) - (u + c) * mpmath.log(u + c)) / (2 * c)
+
+        return float(G(T1 + T2) - G(T2) - G(T1) + G(mpmath.mpf(0)))
 
 
 class TestInputs:
@@ -114,6 +130,19 @@ class TestCoincidentKernel:
         numeric = kernel_K_numeric(1.0, 2.0)
         assert numeric.converged
         assert math.isclose(closed, numeric.value, rel_tol=1e-10)
+
+    @pytest.mark.parametrize(
+        "T, rho", [(3.0 * (1.0 - 1.01e-12), 3.0), (1e6 * (1.0 + 2e-12), 1e6)]
+    )
+    def test_closed_just_outside_the_limit_window(self, T, rho):
+        # T*T - rho*rho cancels this close to T = rho; the closed form must
+        # keep its digits up to the limit window
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            t, r = mpmath.mpf(T), mpmath.mpf(rho)
+            ref = (t / r) * mpmath.log(abs(t - r) / (t + r)) - mpmath.log(abs(t * t - r * r) / (r * r))
+            ref = float(ref)
+        assert math.isclose(kernel_K_closed(T, rho), ref, rel_tol=1e-13)
 
     def test_degenerate_point(self):
         assert kernel_K_closed(3.0, 3.0) == K_EQUAL_ARGS_LIMIT
@@ -220,11 +249,61 @@ class TestRadiationKernels:
         geom = _geom(L1=scale, L2=200.0 * scale, theta=theta, v=v)
         assert segment_I_aa(geom, 1e-3 * scale) < 0.0
 
-    def test_I_ab_numeric_vs_closed(self):
+    def test_I_ab_exact_vs_closed(self):
         geom = _geom(theta=math.pi / 4, v=0.01)
         closed = segment_I_ab(geom)
-        numeric = segment_I_ab(geom, method="numeric")
-        assert abs(closed - numeric) <= 0.02 * abs(numeric)
+        exact = segment_I_ab(geom, method="exact")
+        assert abs(closed - exact) <= 0.02 * abs(exact)
+
+    def test_I_ab_exact_vs_double_pv(self, I_ab_double_pv):
+        # the four-corner sum against the numeric double integral, within
+        # the latter's 3e-5 relative tolerance
+        geom = _geom(theta=math.pi / 4, v=0.01)
+        exact = segment_I_ab(geom, method="exact")
+        assert math.isclose(exact, I_ab_double_pv(geom), rel_tol=3e-5)
+
+    @pytest.mark.parametrize(
+        "L1, L2, theta, v",
+        [
+            (L1, L2, theta, v)
+            for v in (0.1, 0.01, 1e-5, 1e-9)
+            for L1, L2, theta in ((1.0, 100.0, math.pi / 4), (1.0, 40.0, 0.5), (3.0, 4.0, 1.4))
+        ]
+        # v sin(theta) > 1/2 puts the pole c above the corner u = T1, and
+        # 2 L1 v sin(theta) > L2 above u = T2 as well
+        + [(1.0, L2, theta, 0.9) for theta in (0.59, 0.6, 1.2) for L2 in (1.05, 1.6, 100.0)],
+    )
+    def test_I_ab_exact_vs_mpmath(self, L1, L2, theta, v):
+        # written naively, the corner terms cancel for c << u: at v = 1e-9
+        # that form is off by 1e-5
+        mpmath = pytest.importorskip("mpmath")
+        geom = _geom(L1=L1, L2=L2, theta=theta, v=v)
+        assert math.isclose(
+            segment_I_ab(geom, method="exact"), _I_ab_mpmath(mpmath, geom), rel_tol=1e-13
+        )
+
+    def test_I_ab_exact_with_the_pole_on_a_corner(self):
+        # v sin(theta) rounds to exactly 1/2, so c = T1: the corner term
+        # (u - c) ln|u - c| must take its limit 0
+        mpmath = pytest.importorskip("mpmath")
+        geom = _geom(L1=1.0, L2=3.0, theta=0.7297276562269663, v=0.75)
+        assert 2.0 * geom.T1 * geom.v * math.sin(geom.theta) == geom.T1
+        assert math.isclose(
+            segment_I_ab(geom, method="exact"), _I_ab_mpmath(mpmath, geom), rel_tol=1e-13
+        )
+
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.5, 1.4])
+    @pytest.mark.parametrize("v", [0.01, 1e-3])
+    def test_I_ab_exact_minus_closed_is_the_dropped_remainder(self, v, theta):
+        # exact - (1 - ln 2s) = -ln(1 + L1/L2)
+        #   - (2/3) s^2 [1 + (L1/L2)^2 - (L1/(L1 + L2))^2] + O(s^4)
+        L1, L2 = 1.0, 40.0
+        s = v * math.sin(theta)
+        geom = _geom(L1=L1, L2=L2, theta=theta, v=v)
+        remainder = segment_I_ab(geom, method="exact") - segment_I_ab(geom)
+        scaled = (remainder + math.log1p(L1 / L2)) / (s * s)
+        bracket = 1.0 + (L1 / L2) ** 2 - (L1 / (L1 + L2)) ** 2
+        assert scaled == pytest.approx(-2.0 / 3.0 * bracket, abs=2.0 * s * s)
 
     def test_I_aa_numeric_vs_closed_small_geometry(self):
         # cheaper scale separation than the headline regime; the closed
@@ -240,6 +319,9 @@ class TestRadiationKernels:
             segment_I_aa(geom, 1e-3, method="magic")
         with pytest.raises(ValueError):
             segment_I_ab(geom, method="magic")
+        # the numeric double integral left for the exact four-corner sum
+        with pytest.raises(ValueError, match="unknown method"):
+            segment_I_ab(geom, method="numeric")
 
     def test_I_aa_cutoff_validation(self):
         geom = _geom(v=0.01)
