@@ -167,27 +167,21 @@ def kernel_K_numeric(
 
 
 def segment_J_ab_closed(
-    geom: IntersectingGeometry,
-    ell: float,
-    *,
-    asymptotic: bool = False,
-    excision: float | None = None,
+    geom: IntersectingGeometry, ell: float, *, asymptotic: bool = False
 ) -> float:
     """Cross-segment static kernel of the V geometry.
 
-    The exact form keeps the vertex excision of half-width `excision`
-    (default tau/2) and both finite segment durations; the asymptotic flag
-    returns the leading ln(L1/ell) instead.
+    The exact form keeps the vertex excision of half-width tau/2 = ell/(2v),
+    which must lie below T1, and both finite segment durations; the
+    asymptotic flag returns the leading ln(L1/ell) instead.
     """
     _require_ell(ell)
     if asymptotic:
-        if excision is not None:
-            raise ValueError("excision only applies to the exact form")
         return math.log(geom.L1 / ell)
     T1, T2 = geom.T1, geom.T2
-    d = 0.5 * (ell / geom.v) if excision is None else excision
-    if not 0.0 < d < T1:
-        raise ValueError("excision half-width must lie in (0, T1)")
+    d = 0.5 * (ell / geom.v)
+    if not d < T1:
+        raise ValueError("the vertex excision half-width ell/(2v) must lie below T1")
     return math.log((T1 + d) * (T2 + d) / (2.0 * d * (T1 + T2)))
 
 
@@ -246,13 +240,12 @@ def _double_pv(
 
     def integrand(t: np.ndarray) -> np.ndarray:
         nonlocal spent
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        pole_sets = poles(ts).tolist()
+        pole_sets = poles(t).tolist()
         windows = [
             (lo + shift, hi - shift) if any(_on_boundary(lo, hi, p) for p in ps) else (lo, hi)
             for ps in pole_sets
         ]
-        results = _pv_many(lambda x, owner: g(ts[owner], x), windows, pole_sets, inner_cfg)
+        results = _pv_many(lambda x, owner: g(t[owner], x), windows, pole_sets, inner_cfg)
         spent += sum(res.evaluations for res in results)
         if spent > _I_NUMERIC_MAX_EVALS:
             raise NonConvergenceError(
@@ -260,7 +253,7 @@ def _double_pv(
                 f"budget of {_I_NUMERIC_MAX_EVALS}"
             )
         inner_errs.extend(res.error_estimate for res in results)
-        return np.reshape([res.value for res in results], np.shape(t))
+        return np.array([res.value for res in results])
 
     res = integrate_1d(integrand, *outer, cfg, breakpoints=breakpoints or None)
     mean_inner = sum(inner_errs) / max(len(inner_errs), 1)
@@ -280,15 +273,14 @@ def segment_I_aa(
     cfg: QuadratureConfig | None = None,
     *,
     method: str = "closed",
-    cutoff: float | None = None,
 ) -> float:
     """Same-segment radiation kernel of the V geometry.
 
     closed: ln(ell v^2 sin^2(theta) / L1) + 2 (ln 2 - 1), the small-v form.
     numeric: principal-value double integral of
-    [(t - t')^2 - v^2 sin^2(theta) (t + t')^2]^-1 over [cutoff, T1]^2 with
-    cutoff ell/v by default; for each outer t the inner poles sit at
-    t (1 -+ s)/(1 +- s) with s = v sin(theta).
+    [(t - t')^2 - v^2 sin^2(theta) (t + t')^2]^-1 over [c, T1]^2 with the
+    cutoff c = ell/v, which must lie below T1; for each outer t the inner
+    poles sit at t (1 -+ s)/(1 +- s) with s = v sin(theta).
     """
     _require_ell(ell)
     s = geom.v * math.sin(geom.theta)
@@ -300,10 +292,10 @@ def segment_I_aa(
         raise ValueError(
             f"v sin(theta) = {s:.3g} is too small for the two I_aa poles to be distinct"
         )
-    c = ell / geom.v if cutoff is None else cutoff
+    c = ell / geom.v
     T1 = geom.T1
-    if not 0.0 < c < T1:
-        raise ValueError("cutoff must lie in (0, T1)")
+    if not c < T1:
+        raise ValueError("the cutoff ell/v must lie below T1")
 
     def g(t, tp):
         return 1.0 / ((t - tp) ** 2 - s * s * (t + tp) ** 2)

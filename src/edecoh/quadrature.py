@@ -22,11 +22,13 @@ probes all their excisions and all their pieces refine in lockstep.
 pv_integrate_1d is the batch of one; the numeric radiation kernels batch
 the inner principal values of one outer refinement round.
 
-Multi-dimensional integrals (n = 2, 3) are iterated one-dimensional integrals.
+Two-dimensional integrals are iterated one-dimensional integrals.
 
-Integrands are called with numpy arrays of abscissae; plain scalar callables
-are detected and looped over transparently.  Non-finite integrand values at
-isolated nodes are treated as zero (integrable endpoint singularities).
+Every integrand follows one contract: it takes a numpy array of abscissae
+and returns an array of the same shape; anything else raises ValueError,
+and an exception the integrand raises propagates.  Non-finite integrand
+values at isolated nodes are treated as zero (integrable endpoint
+singularities).
 """
 
 from __future__ import annotations
@@ -161,37 +163,19 @@ _WG = np.array([
 ])
 
 
-class _Integrand:
-    """Wraps a user callable: batched evaluation, scalar fallback, eval count."""
-
-    def __init__(self, f: Callable):
-        self.f = f
-        self.evaluations = 0
-        self._vectorized: bool | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.evaluations += x.size
-        if self._vectorized is None or self._vectorized:
-            try:
-                with np.errstate(all="ignore"):
-                    y = np.asarray(self.f(x), dtype=float)
-                if y.shape == x.shape:
-                    self._vectorized = True
-                    return self._finite(y)
-                if y.ndim == 0:
-                    self._vectorized = True
-                    return self._finite(np.full(x.shape, float(y)))
-            except (TypeError, ValueError, IndexError):
-                pass
-            self._vectorized = False
-        with np.errstate(all="ignore"):
-            y = np.array([float(self.f(float(xi))) for xi in x])
-        return self._finite(y)
-
-    @staticmethod
-    def _finite(y: np.ndarray) -> np.ndarray:
-        # isolated non-finite node values (integrable singularities) -> 0
-        return np.where(np.isfinite(y), y, 0.0)
+def _values(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """evaluate(x, owner) under the integrand contract, non-finite values set to 0."""
+    with np.errstate(all="ignore"):
+        y = np.asarray(evaluate(x, owner), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(
+            f"an integrand must return an array of its abscissae's shape {x.shape}, "
+            f"not {y.shape}"
+        )
+    # isolated non-finite node values (integrable singularities) -> 0
+    return np.where(np.isfinite(y), y, 0.0)
 
 
 def _tolerance(rel_tol: float, abs_tol: float) -> Callable[[float], float]:
@@ -233,9 +217,7 @@ def _adapt_many(
         centre = 0.5 * (lo_a + hi_a)
         half = 0.5 * (hi_a - lo_a)
         nodes = (centre[:, None] + half[:, None] * _XK[None, :]).ravel()
-        with np.errstate(all="ignore"):
-            y = np.asarray(evaluate(nodes, np.repeat(owners, _XK.size)), dtype=float)
-        y = _Integrand._finite(y).reshape(len(owners), _XK.size)
+        y = _values(evaluate, nodes, np.repeat(owners, _XK.size)).reshape(len(owners), _XK.size)
         vals = half * (y @ _WK)
         errs = np.abs(vals - half * (y[:, 1::2] @ _WG))
         for i, lo, hi, v, e in zip(owners, los, his, vals.tolist(), errs.tolist()):
@@ -293,12 +275,11 @@ def integrate_1d(
     if a > b:
         raise ValueError("requires a < b")
 
-    F = _Integrand(f)
     edges = [a, b]
     if breakpoints:
         edges += [float(p) for p in breakpoints if a < p < b]
     (res,) = _adapt_many(
-        lambda x, _owner: F(x),
+        lambda x, _owner: f(x),
         [sorted(set(edges))],
         [(cfg.tolerance, cfg.max_subdivisions)],
     )
@@ -409,8 +390,7 @@ def _pv_many(
 
     def call(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         counts[:] += np.bincount(owner, minlength=n)
-        with np.errstate(all="ignore"):
-            return _Integrand._finite(np.asarray(evaluate(x, owner), dtype=float))
+        return _values(evaluate, x, owner)
 
     # sub-integrals of a PV must be much tighter than the requested PV
     # tolerance, otherwise their accumulated noise dominates the final estimate
@@ -503,8 +483,7 @@ def pv_integrate_1d(
     of an endpoint raises PoleOnBoundaryError; poles too close to each other
     for independent excision raise PoleSeparationError.
     """
-    F = _Integrand(f)
-    (res,) = _pv_many(lambda x, _owner: F(x), [(a, b)], [poles], cfg or QuadratureConfig())
+    (res,) = _pv_many(lambda x, _owner: f(x), [(a, b)], [poles], cfg or QuadratureConfig())
     return res
 
 
@@ -513,68 +492,45 @@ def integrate_nd(
     box: Sequence[tuple[float, float]],
     cfg: QuadratureConfig | None = None,
 ) -> IntegrationResult:
-    """Iterated adaptive integral over an n-box, n in {2, 3}.
+    """Iterated adaptive integral over a 2-box [(x_lo, x_hi), (y_lo, y_hi)].
 
-    f is called as f(x0, ..., x_{n-1}) with the innermost coordinate batched
-    as an array (scalar callables are looped).  Integrable logarithmic
-    singularities on lower-dimensional sets are acceptable: the adaptive
-    refinement grades the mesh around them.
+    f is called as f(x, y) with x a float and y an array of abscissae, and
+    returns an array of y's shape.  Each node x of the outer integral runs
+    one inner integral over y, ten times tighter than cfg so that its noise
+    stays below the outer estimate.  The reported error adds the mean inner
+    error times the outer length to the outer one.  Integrable logarithmic
+    singularities on lines are acceptable: the adaptive refinement grades
+    the mesh around them.
     """
     cfg = cfg or QuadratureConfig()
-    n = len(box)
-    if n not in (2, 3):
-        raise ValueError("integrate_nd supports n = 2 or 3")
-
+    if len(box) != 2:
+        raise ValueError("integrate_nd integrates over a 2-box only")
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("box sides need finite bounds lo <= hi")
-    outer_measure = 1.0
-    for lo, hi in box[:-1]:
-        outer_measure *= hi - lo
-
-    evals = [0]
-    inner_errs: list[float] = []
-    inner_ok = [True]
+    x_side, y_side = box
+    inner_cfg = (_tolerance(cfg.rel_tol * 0.1, cfg.abs_tol * 0.1), cfg.max_subdivisions)
+    inner: list[IntegrationResult] = []
 
     def inner_error() -> float:
-        mean_inner = sum(inner_errs) / len(inner_errs) if inner_errs else 0.0
-        return mean_inner * outer_measure
+        mean_inner = sum(res.error_estimate for res in inner) / len(inner) if inner else 0.0
+        return mean_inner * (x_side[1] - x_side[0])
 
     def top_tolerance(value: float) -> float:
-        # the reported error adds the inner errors to the top level's, so the
-        # top level may keep what they leave of the tolerance, and no less
-        # than half of it: beyond that refining the top level cannot help
+        # the reported error adds the inner errors to the outer one, so the
+        # outer integral may keep what they leave of the tolerance, and no
+        # less than half of it: beyond that refining it cannot help
         tol = cfg.tolerance(value)
         return max(tol - inner_error(), 0.5 * tol)
 
-    # deeper levels run tighter so their noise stays below the outer estimate
-    tolerances = [top_tolerance] + [
-        _tolerance(cfg.rel_tol * 0.1 ** lvl, cfg.abs_tol * 0.1 ** lvl) for lvl in range(1, n)
-    ]
+    def inner_values(x: np.ndarray, _owner: np.ndarray) -> np.ndarray:
+        for xi in x.tolist():
+            inner.extend(_adapt_many(lambda y, _o, xi=xi: f(xi, y), [y_side], [inner_cfg]))
+        return np.array([res.value for res in inner[-x.size:]])
 
-    def level_integral(level: int, fixed: tuple[float, ...]) -> IntegrationResult:
-        if level == n - 1:
-            def g(t):
-                return f(*fixed, t)
-        else:
-            def g(x):
-                xs = np.atleast_1d(np.asarray(x, dtype=float))
-                out = np.array(
-                    [level_integral(level + 1, fixed + (float(xi),)).value for xi in xs]
-                )
-                return out if np.ndim(x) else float(out[0])
-
-        G = _Integrand(g)
-        (res,) = _adapt_many(
-            lambda x, _owner: G(x), [box[level]], [(tolerances[level], cfg.max_subdivisions)]
-        )
-        if level == n - 1:
-            evals[0] += res.evaluations
-            inner_errs.append(res.error_estimate)
-            inner_ok[0] = inner_ok[0] and res.converged
-        return res
-
-    top = level_integral(0, ())
+    (top,) = _adapt_many(inner_values, [x_side], [(top_tolerance, cfg.max_subdivisions)])
     err = top.error_estimate + inner_error()
-    converged = top.converged and inner_ok[0] and err <= cfg.tolerance(top.value)
-    return IntegrationResult(top.value, err, evals[0], converged)
+    converged = (
+        top.converged and all(res.converged for res in inner) and err <= cfg.tolerance(top.value)
+    )
+    return IntegrationResult(top.value, err, sum(res.evaluations for res in inner), converged)

@@ -51,6 +51,7 @@ from .quadrature import (
     QuadratureConfig,
     _adapt_many,
     _tolerance,
+    integrate_1d,
     integrate_nd,
     require_converged,
     require_finite,
@@ -190,16 +191,14 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
         # inner azimuthal integrals of all radius pairs (r1, r2[i]), refined
         # in lockstep; the half-range [0, pi] doubles by the phi -> 2 pi - phi
         # symmetry
-        r2s = np.atleast_1d(np.asarray(r2, dtype=float))
         results = _adapt_many(
-            lambda phi, owner: cylinder_F(r1, r2s[owner], phi, beta, r_over_ell),
-            [phi_mesh] * r2s.size,
-            [phi_cfg] * r2s.size,
+            lambda phi, owner: cylinder_F(r1, r2[owner], phi, beta, r_over_ell),
+            [phi_mesh] * r2.size,
+            [phi_cfg] * r2.size,
         )
         evals[0] += sum(res.evaluations for res in results)
         ok[0] = ok[0] and all(res.converged for res in results)
-        out = np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, r2s)])
-        return out if np.ndim(r2) else float(out[0])
+        return np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, r2)])
 
     outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], cfg)
     scale = 4.0 / math.pi
@@ -228,28 +227,26 @@ def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
 def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
     """Quadrature evaluation for either shape (sphere fast path bypassed).
 
-    For the sphere the average reduces to radial densities p(r) = 3 r^2/R^3
-    and a uniform direction cosine mu in [-1, 1] (density 1/2) between the
-    two position vectors, with |y - y'|^2 = r^2 + r'^2 - 2 r r' mu.  Kept as
-    a check of the exact value; cylinders delegate to kappa().
+    For the sphere the pair separation d of two uniform points of a ball of
+    radius R has the density (ball line picking; Solomon, Geometric
+    Probability, 1978)
+
+        p(d) = (3 x^2 / R) (1 - 3x/4 + x^3/16),   x = d/R in [0, 2],
+
+    so kappa = int_0^{2R} p(d) 2 ln(d/ell) dd is one adaptive integral,
+    kept as a check of the exact value; cylinders delegate to kappa().
     """
     if isinstance(wp, UniformCylinder):
         return kappa(wp, cfg)
     r = wp.radius
     ell = 2.0 * r
 
-    def integrand(x, y, mu):
-        d2 = x * x + y * y - 2.0 * x * y * mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln = np.where(d2 > 0.0, np.log(d2 / (ell * ell)), 0.0)
-        return (3.0 * x * x / r**3) * (3.0 * y * y / r**3) * 0.5 * ln
+    def integrand(d):
+        x = d / r
+        return (3.0 * x * x / r) * (1.0 - 0.75 * x + x**3 / 16.0) * 2.0 * np.log(d / ell)
 
     res = require_converged(
-        integrate_nd(
-            integrand,
-            [(0.0, r), (0.0, r), (-1.0, 1.0)],
-            cfg or QuadratureConfig(rel_tol=1e-8, abs_tol=1e-11),
-        ),
+        integrate_1d(integrand, 0.0, ell, cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)),
         "sphere kappa",
     )
     return KappaResult(res.value, res.error_estimate, ell)

@@ -126,6 +126,32 @@ class TestParallelCommand:
         totals = [float(line.split(",")[3]) for line in lines[1:]]
         assert abs(totals[-1] - totals[-2]) < 1e-3 * abs(totals[-1])
 
+    def test_vacuum_term_is_logarithmic_in_packet_size(self, capsys):
+        # w_vacuum = (alpha/pi) [2 - kappa + 2 ln(T/ell)] with ell = 2R: each
+        # tenfold larger packet moves it by -2 (alpha/pi) ln 10, and the
+        # photon term does not see the packet
+        runs = [_run(capsys, ["parallel", "--radius", r]) for r in ("0.05", "0.5", "5")]
+        assert [rc for rc, _, _ in runs] == [0, 0, 0]
+        vacuum = [_field(out, "w_vacuum") for _, out, _ in runs]
+        step = -2.0 * ALPHA / math.pi * math.log(10.0)
+        for smaller, larger in zip(vacuum, vacuum[1:]):
+            assert larger - smaller == pytest.approx(step, rel=1e-11)
+        assert len({_field(out, "w_photon") for _, out, _ in runs}) == 1
+
+    def test_T_sweep_approaches_the_plateau_as_inverse_T_squared(self, capsys):
+        # with x = r0/T, K(T, r0) = -2 - 2 ln(T/r0) + x^2/3 + x^4/10 + O(x^6),
+        # so w_total = (alpha/pi) [2 ln(r0/ell) - kappa + x^2/3] + O(x^4)
+        rc, out, _ = _run(capsys, ["parallel", "--sweep", "T", "--log-spacing"])
+        assert rc == 0
+        a = ALPHA / math.pi
+        r0, ell = 100.0, 1.0  # the defaults: --r0 100, a sphere of radius 0.5
+        plateau = a * (2.0 * math.log(r0 / ell) + 1.5)
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 25
+        for T, _, _, total in rows:
+            x = r0 / T
+            assert abs(total - plateau - a * x * x / 3.0) <= a * x**4 + 1e-13
+
     def test_flight_time_equal_to_separation_takes_the_limit(self, capsys):
         rc, out, _ = _run(capsys, ["parallel", "--r0", "1", "--T", "1"])
         assert rc == 0

@@ -197,15 +197,10 @@ class TestStaticKernels:
         assert abs(segment_J_ab_closed(_geom(L2=1e9), 0.01) - math.log(100.0 + 0.5)) < 1e-6
 
     def test_J_ab_excision_parameter(self):
-        geom, ell = _geom(), 0.01
-        tau = ell / geom.v
-        assert segment_J_ab_closed(geom, ell, excision=0.5 * tau) == segment_J_ab_closed(geom, ell)
-        # widening the excision must shrink the (positive) cross term
-        assert segment_J_ab_closed(geom, ell, excision=2.0 * tau) < segment_J_ab_closed(geom, ell)
-        with pytest.raises(ValueError):
-            segment_J_ab_closed(geom, ell, excision=2.0 * geom.T1)
-        with pytest.raises(ValueError):
-            segment_J_ab_closed(geom, ell, asymptotic=True, excision=1.0)
+        # the vertex excision half-width ell/(2v) must lie below T1
+        geom = _geom()
+        with pytest.raises(ValueError, match="below T1"):
+            segment_J_ab_closed(geom, 4.0 * geom.L1)
 
     def test_J_straight_values(self):
         # log term vanishes at L = ell v, leaving -2 + kappa
@@ -324,9 +319,10 @@ class TestRadiationKernels:
             segment_I_ab(geom, method="numeric")
 
     def test_I_aa_cutoff_validation(self):
+        # the cutoff ell/v must lie below T1
         geom = _geom(v=0.01)
-        with pytest.raises(ValueError):
-            segment_I_aa(geom, 1e-3, method="numeric", cutoff=2.0 * geom.T1)
+        with pytest.raises(ValueError, match="below T1"):
+            segment_I_aa(geom, 2.0 * geom.L1, method="numeric")
 
     def test_I_bb_log_argument_one(self):
         # 2 v sin(theta) > 1 keeps L2 above L1

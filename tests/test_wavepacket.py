@@ -162,6 +162,26 @@ class TestKappa:
         assert abs(res.kappa + 1.5) < 1e-6
         assert res.error_estimate < 1e-6
 
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_sphere_numeric_path_to_rounding(self, radius):
+        # one 1-D integral over the pair-separation density
+        res = kappa_numeric(UniformSphere(radius))
+        assert abs(res.kappa + 1.5) <= 1e-13
+        assert res.error_estimate <= 1e-11
+
+    def test_ball_line_picking_density_mpmath(self):
+        # the density kappa_numeric integrates, in x = d/R on [0, 2], at 30
+        # digits: unit mass, and the 2 ln(d/ell) moment (ell = 2R) is -3/2
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            def p(x):
+                return 3 * x**2 * (1 - 3 * x / 4 + x**3 / 16)
+
+            mass = mpmath.quad(p, [0, 2])
+            moment = mpmath.quad(lambda x: p(x) * 2 * mpmath.log(x / 2), [0, 2])
+            assert abs(mass - 1) <= mpmath.mpf("1e-25")
+            assert abs(moment + mpmath.mpf(3) / 2) <= mpmath.mpf("1e-25")
+
     @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0, 4.0, 8.0])
     def test_cylinder_matches_bruteforce(self, beta):
         quad = kappa(UniformCylinder(1.0, beta))
