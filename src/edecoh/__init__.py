@@ -1,67 +1,52 @@
-"""Decoherence exponents and fringe contrast for charged-particle interferometers."""
+"""Decoherence exponents and fringe contrast for charged-particle interferometers.
+
+Each public name is imported from its module on first access, so that
+`import edecoh` and the closed forms load no numpy; the quadrature layer
+loads when something is integrated or sampled.
+"""
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .quadrature import (
-    IntegrationResult,
-    NonConvergenceError,
-    PoleOnBoundaryError,
-    PoleSeparationError,
-    QuadratureConfig,
-    integrate_1d,
-    integrate_nd,
-    pv_integrate_1d,
-)
-from .wavepacket import (
-    KappaResult,
-    UniformCylinder,
-    UniformSphere,
-    Wavepacket,
-    characteristic_length,
-    kappa,
-    kappa_bruteforce_oracle,
-)
-from .kernels import kernel_K_closed, kernel_K_numeric
-from .decoherence import (
-    DecoherenceResult,
-    IntersectingGeometry,
-    ParallelGeometry,
-    PhysicalConstants,
-    ValidityInput,
-    interference_pattern,
-    max_flight_distance,
-    w_total_intersecting,
-    w_total_parallel,
-)
+# public name -> defining module
+_EXPORTS = {
+    "IntegrationResult": "base",
+    "NonConvergenceError": "base",
+    "PoleOnBoundaryError": "base",
+    "PoleSeparationError": "base",
+    "QuadratureConfig": "base",
+    "integrate_1d": "quadrature",
+    "integrate_nd": "quadrature",
+    "pv_integrate_1d": "quadrature",
+    "KappaResult": "wavepacket",
+    "UniformCylinder": "wavepacket",
+    "UniformSphere": "wavepacket",
+    "Wavepacket": "wavepacket",
+    "characteristic_length": "wavepacket",
+    "kappa": "wavepacket",
+    "kappa_bruteforce_oracle": "wavepacket",
+    "IntersectingGeometry": "kernels",
+    "kernel_K_closed": "kernels",
+    "kernel_K_numeric": "kernels",
+    "DecoherenceResult": "decoherence",
+    "ParallelGeometry": "decoherence",
+    "PhysicalConstants": "decoherence",
+    "ValidityInput": "decoherence",
+    "interference_pattern": "decoherence",
+    "max_flight_distance": "decoherence",
+    "w_total_intersecting": "decoherence",
+    "w_total_parallel": "decoherence",
+}
 
-__all__ = [
-    "__version__",
-    "IntegrationResult",
-    "NonConvergenceError",
-    "PoleOnBoundaryError",
-    "PoleSeparationError",
-    "QuadratureConfig",
-    "integrate_1d",
-    "integrate_nd",
-    "pv_integrate_1d",
-    "KappaResult",
-    "UniformCylinder",
-    "UniformSphere",
-    "Wavepacket",
-    "characteristic_length",
-    "kappa",
-    "kappa_bruteforce_oracle",
-    "kernel_K_closed",
-    "kernel_K_numeric",
-    "DecoherenceResult",
-    "IntersectingGeometry",
-    "ParallelGeometry",
-    "PhysicalConstants",
-    "ValidityInput",
-    "interference_pattern",
-    "max_flight_distance",
-    "w_total_intersecting",
-    "w_total_parallel",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

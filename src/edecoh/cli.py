@@ -29,8 +29,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
+from .base import NonConvergenceError, QuadratureConfig, require_finite
 from .decoherence import (
     RELATIVISTIC_NOTE,
     IntersectingGeometry,
@@ -51,7 +50,6 @@ from .kernels import (
     segment_I_bb,
     segment_J_ab_closed,
 )
-from .quadrature import NonConvergenceError, QuadratureConfig, integrate_1d, integrate_nd
 from .wavepacket import (
     UniformCylinder,
     UniformSphere,
@@ -158,16 +156,22 @@ def _wavepacket(args: argparse.Namespace) -> Wavepacket:
 
 
 def _scaled(wp: Wavepacket, factor: float) -> Wavepacket:
-    if isinstance(wp, UniformSphere):
-        return UniformSphere(radius=wp.radius * factor)
-    return UniformCylinder(radius=wp.radius * factor, length=wp.length * factor)
+    try:
+        if isinstance(wp, UniformSphere):
+            return UniformSphere(radius=wp.radius * factor)
+        return UniformCylinder(radius=wp.radius * factor, length=wp.length * factor)
+    except ValueError as exc:
+        raise ValueError(f"--ell-sweep scales the wavepacket by {factor:g}: {exc}") from None
 
 
 def _grid(lo: float, hi: float, steps: int, log_spacing: bool) -> list[float]:
+    require_finite({"sweep min": lo, "sweep max": hi})
     if not 0.0 < lo < hi:
         raise ValueError("sweep grid requires 0 < min < max")
     if steps < 2:
         raise ValueError("sweep needs at least 2 steps")
+    import numpy as np
+
     pts = np.geomspace(lo, hi, steps) if log_spacing else np.linspace(lo, hi, steps)
     return [float(p) for p in pts]
 
@@ -265,6 +269,8 @@ def cmd_intersect(args: argparse.Namespace) -> int:
 
 
 def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+    from .quadrature import integrate_1d, integrate_nd
+
     cfg = _quad_cfg(args)
     checks: list[tuple[str, bool, str]] = []
 
@@ -408,7 +414,10 @@ def cmd_validity(args: argparse.Namespace) -> int:
     unit_m = _UNIT_M[args.unit]
     stream = _OutStream(args.out)
     try:
-        inp = ValidityInput(energy=args.energy_ev, dx0=args.dx0 * unit_m)
+        dx0_m = args.dx0 * unit_m
+        if args.dx0 > 0.0 and dx0_m == 0.0:
+            raise ValueError(f"dx0 = {args.dx0:g} {args.unit} underflows to 0 m")
+        inp = ValidityInput(energy=args.energy_ev, dx0=dx0_m)
         base = max_flight_distance(ValidityInput(energy=_SCALING_E_EV, dx0=_SCALING_DX0_M))
         stream.line(f"max_flight_m = {_fmt(max_flight_distance(inp))}")
         stream.line(f"scaling: {_fmt(base)} m * sqrt(E / 10 keV) * (dx0 / 1 um)^2")

@@ -38,6 +38,7 @@ fuzzy phase) is reported as-is, never clamped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .kernels import (
@@ -49,7 +50,7 @@ from .kernels import (
     segment_J_ab_closed,
     segment_J_straight,
 )
-from .quadrature import QuadratureConfig, require_finite
+from .base import QuadratureConfig, log_ratio, require_finite, split_product
 from .wavepacket import KappaResult, Wavepacket, characteristic_length, kappa
 
 __all__ = [
@@ -152,7 +153,7 @@ def w_vacuum_parallel(
 ) -> float:
     """Vacuum exponent of the parallel geometry (rest-frame flight time)."""
     a = constants.alpha_fs / math.pi
-    return a * (2.0 - kap.kappa + 2.0 * math.log(geom.T / kap.ell))
+    return a * (2.0 - kap.kappa + 2.0 * log_ratio((geom.T,), (kap.ell,)))
 
 
 def w_photon_parallel(
@@ -170,7 +171,7 @@ def w_photon_parallel(
     if mode == "exact-kernel":
         return a * kernel_K_closed(geom.T, geom.r0)
     if mode == "asymptotic":
-        return -2.0 * a * (1.0 + math.log(geom.T / geom.r0))
+        return -2.0 * a * (1.0 + log_ratio((geom.T,), (geom.r0,)))
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -263,10 +264,23 @@ def max_flight_distance(inp: ValidityInput) -> float:
     A minimum-uncertainty packet of initial size dx0 disperses negligibly
     only while the flight distance stays well below
     2 sqrt(2 m E) dx0^2 (converted via hbar c).  Nonrelativistic, and so
-    unreliable when inp.relativistic.
+    unreliable when inp.relativistic.  Raises ValueError where the bound
+    lies outside the range of normal floats.
     """
-    p = math.sqrt(2.0 * inp.electron_mass * inp.energy)
-    return 2.0 * p * inp.dx0 * inp.dx0 / _HBAR_C_EV_M
+    m, e = split_product(
+        (2.0 * math.sqrt(2.0), math.sqrt(inp.electron_mass), math.sqrt(inp.energy), inp.dx0, inp.dx0),
+        (_HBAR_C_EV_M,),
+    )
+    try:
+        bound = math.ldexp(m, e)
+    except OverflowError:
+        bound = math.inf
+    if not sys.float_info.min <= bound < math.inf:
+        raise ValueError(
+            f"the spreading bound for energy = {inp.energy:.6g} eV and dx0 = {inp.dx0:.6g} m "
+            "lies outside the float range"
+        )
+    return bound
 
 
 def check_regime(

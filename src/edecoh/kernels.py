@@ -57,20 +57,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .quadrature import (
+from .base import (
     IntegrationResult,
     NonConvergenceError,
     QuadratureConfig,
-    _on_boundary,
-    _pv_many,
-    integrate_1d,
-    pv_integrate_1d,
+    log_ratio,
     require_finite,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntersectingGeometry",
@@ -138,13 +136,26 @@ def kernel_K_closed(T: float, rho: float) -> float:
     """Closed form of the coincident-segment kernel, either side of T = rho.
 
     Within 1e-12 relative of T = rho it returns the limit K_EQUAL_ARGS_LIMIT.
+    Every positive finite T and rho give a finite value.
     """
     _require_K_args(T, rho)
-    if abs(T - rho) <= 1e-12 * max(T, rho):
+    lo, hi = sorted((T, rho))
+    if hi - lo <= 1e-12 * hi:
         return K_EQUAL_ARGS_LIMIT
-    return (T / rho) * math.log(abs(T - rho) / (T + rho)) - math.log(
-        abs((T - rho) * (T + rho)) / (rho * rho)
-    )
+    # with x = lo/hi in (0, 1),
+    #   K = (T/rho) ln[(1 - x)/(1 + x)] - ln[(1 - x)(1 + x)] - 2 ln(hi/rho)
+    x = lo / hi
+    if x > 0.5:
+        # near T = rho, where hi - lo is exact and no factor leaves the float range
+        d = (hi - lo) / hi
+        return (T / rho) * math.log(d / (1.0 + x)) - math.log(d * (1.0 + x) * (hi / rho) ** 2)
+    # far from it, ln[(1 - x)/(1 + x)] = -2 atanh(x) keeps its digits as
+    # x -> 0; for T > rho the prefactor T/rho = 1/x can overflow, so it is
+    # taken as atanh(x)/x -> 1
+    if T < rho:
+        return -2.0 * x * math.atanh(x) - math.log1p(-x * x)
+    first = -2.0 * math.atanh(x) / x if x else -2.0
+    return first - math.log1p(-x * x) - 2.0 * log_ratio((T,), (rho,))
 
 
 def kernel_K_numeric(
@@ -159,6 +170,7 @@ def kernel_K_numeric(
     limit K_EQUAL_ARGS_LIMIT there).
     """
     _require_K_args(T, rho)
+    from .quadrature import pv_integrate_1d
 
     def f(tau):
         return 2.0 * (T - tau) / (tau * tau - rho * rho)
@@ -177,12 +189,12 @@ def segment_J_ab_closed(
     """
     _require_ell(ell)
     if asymptotic:
-        return math.log(geom.L1 / ell)
-    T1, T2 = geom.T1, geom.T2
-    d = 0.5 * (ell / geom.v)
-    if not d < T1:
+        return log_ratio((geom.L1,), (ell,))
+    if not ell < 2.0 * geom.L1:
         raise ValueError("the vertex excision half-width ell/(2v) must lie below T1")
-    return math.log((T1 + d) * (T2 + d) / (2.0 * d * (T1 + T2)))
+    # the speed cancels: with d = ell/(2v) the ratio is the same in lengths
+    h = 0.5 * ell
+    return log_ratio((geom.L1 + h, geom.L2 + h), (ell, geom.L1 + geom.L2))
 
 
 def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
@@ -191,7 +203,7 @@ def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
         raise ValueError("lengths must be positive")
     if not 0.0 < v < 1.0:
         raise ValueError("speed v must lie in (0, 1)")
-    return -2.0 + kappa - 2.0 * math.log(L / (ell * v))
+    return -2.0 + kappa - 2.0 * log_ratio((L,), (ell, v))
 
 
 # numeric I_aa: the outer integral sees the inner PV value as a smooth
@@ -229,6 +241,10 @@ def _double_pv(
     _I_NUMERIC_MAX_EVALS evaluations, or when the outer error plus the mean
     inner error over the outer range exceeds 1% of the value.
     """
+    import numpy as np
+
+    from .quadrature import _on_boundary, _pv_many, integrate_1d
+
     inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 0.1, 1e-9))
     lo, hi = inner
     # an outer node that lands exactly on a pole crossing puts the pole on
@@ -283,11 +299,14 @@ def segment_I_aa(
     poles sit at t (1 -+ s)/(1 +- s) with s = v sin(theta).
     """
     _require_ell(ell)
-    s = geom.v * math.sin(geom.theta)
     if method == "closed":
-        return math.log(ell * s * s / geom.L1) + 2.0 * (math.log(2.0) - 1.0)
+        v, sin = geom.v, math.sin(geom.theta)
+        return log_ratio((ell, v, sin, v, sin), (geom.L1,)) + 2.0 * (math.log(2.0) - 1.0)
     if method != "numeric":
         raise ValueError(f"unknown method: {method!r}")
+    import numpy as np
+
+    s = geom.v * math.sin(geom.theta)
     if 1.0 - s == 1.0 + s:
         raise ValueError(
             f"v sin(theta) = {s:.3g} is too small for the two I_aa poles to be distinct"
@@ -329,13 +348,12 @@ def segment_I_ab(geom: IntersectingGeometry, *, method: str = "closed") -> float
     four-corner sum of the principal-value double integral (module
     docstring), to rounding.
     """
-    s = geom.v * math.sin(geom.theta)
     if method == "closed":
-        return 1.0 - math.log(2.0 * s)
+        return 1.0 - log_ratio((2.0, geom.v, math.sin(geom.theta)))
     if method != "exact":
         raise ValueError(f"unknown method: {method!r}")
     T1, T2 = geom.T1, geom.T2
-    c = 2.0 * T1 * s
+    c = 2.0 * T1 * (geom.v * math.sin(geom.theta))
     # G(0) = -ln c
     return _corner_G(T1 + T2, c) - _corner_G(T2, c) - _corner_G(T1, c) - math.log(c)
 
@@ -343,4 +361,4 @@ def segment_I_ab(geom: IntersectingGeometry, *, method: str = "closed") -> float
 def segment_I_bb(geom: IntersectingGeometry) -> float:
     """Long-segment radiation kernel: the T >> rho asymptote of K with
     separation 2 L1 sin(theta) and duration T2."""
-    return -2.0 * (1.0 + math.log(geom.L2 / (2.0 * geom.L1 * geom.v * math.sin(geom.theta))))
+    return -2.0 * (1.0 + log_ratio((geom.L2,), (2.0, geom.L1, geom.v, math.sin(geom.theta))))

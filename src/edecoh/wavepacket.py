@@ -42,20 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+from .base import IntegrationResult, QuadratureConfig, require_converged, require_finite
 
-from .quadrature import (
-    IntegrationResult,
-    QuadratureConfig,
-    _adapt_many,
-    _tolerance,
-    integrate_1d,
-    integrate_nd,
-    require_converged,
-    require_finite,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UniformSphere",
@@ -87,6 +79,8 @@ class UniformSphere:
         require_finite(vars(self))
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
+        if not 2.0 * self.radius < math.inf:
+            raise ValueError("radius is too large: the diameter 2 radius overflows")
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,8 @@ class UniformCylinder:
         require_finite(vars(self))
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
+        if not 2.0 * self.radius < math.inf:
+            raise ValueError("radius is too large: the diameter 2 radius overflows")
         if not self.length > 0.0:
             raise ValueError("length must be positive")
 
@@ -142,6 +138,8 @@ def cylinder_F(rho, rho_p, phi, beta: float, r_over_ell: float):
         raise ValueError("beta must be positive")
     if not r_over_ell > 0.0:
         raise ValueError("R/ell must be positive")
+    import numpy as np
+
     rho = np.asarray(rho, dtype=float)
     rho_p = np.asarray(rho_p, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -181,6 +179,10 @@ _CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9, max_subdivisions=4096)
 
 
 def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
+    import numpy as np
+
+    from .quadrature import _adapt_many, _tolerance, integrate_nd
+
     r_over_ell = 1.0 / max(2.0, beta)
     phi_mesh = (0.0, *_PHI_BREAKPOINTS, math.pi)
     phi_cfg = (_tolerance(cfg.rel_tol * 1e-2, cfg.abs_tol * 1e-2), cfg.max_subdivisions)
@@ -238,6 +240,10 @@ def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaR
     """
     if isinstance(wp, UniformCylinder):
         return kappa(wp, cfg)
+    import numpy as np
+
+    from .quadrature import integrate_1d
+
     r = wp.radius
     ell = 2.0 * r
 
@@ -253,6 +259,8 @@ def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaR
 
 
 def _sample_points(wp: Wavepacket, n: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     if isinstance(wp, UniformSphere):
         v = rng.standard_normal((n, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -274,6 +282,8 @@ def kappa_bruteforce_oracle(
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a usable oracle")
+    import numpy as np
+
     ell = characteristic_length(wp)
     rng = np.random.default_rng(seed)
     total = 0.0

@@ -3,8 +3,8 @@
 The deterministic quadrature path and the Monte-Carlo oracle are built on
 disjoint machinery, so their agreement is the primary correctness evidence
 for the cylinder.  The axial closed form is additionally checked against a
-two-dimensional quadrature of its defining average, written here from the
-definition and not shared with the implementation.
+quadrature of its defining average, written here from the definition and
+not shared with the implementation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edecoh.quadrature import QuadratureConfig, integrate_1d, integrate_nd
+from edecoh.quadrature import QuadratureConfig, integrate_1d
 from edecoh.wavepacket import (
     DomainError,
     KappaResult,
@@ -58,18 +58,18 @@ def _axial_average_oracle(b: float, beta: float, r_over_ell: float) -> float:
 
     F(b) is the mean of ln(d/ell) over the two scaled axial coordinates
     u, u' uniform in [0, 1], with d^2 = (R b)^2 + L^2 (u - u')^2 and R = 1,
-    L = beta, ell = R / r_over_ell.
+    L = beta, ell = R / r_over_ell.  The mean depends on u, u' only through
+    w = |u - u'|, whose density on [0, 1] is 2 (1 - w), so it is one 1-D
+    integral.
     """
     ell = 1.0 / r_over_ell
 
-    def f(u, up):
-        d2 = b * b + beta * beta * (u - up) ** 2
+    def f(w):
+        d2 = b * b + beta * beta * w * w
         with np.errstate(divide="ignore"):
-            return np.where(d2 > 0.0, 0.5 * np.log(d2 / (ell * ell)), 0.0)
+            return 2.0 * (1.0 - w) * np.where(d2 > 0.0, 0.5 * np.log(d2 / (ell * ell)), 0.0)
 
-    res = integrate_nd(
-        f, [(0.0, 1.0), (0.0, 1.0)], QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
-    )
+    res = integrate_1d(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13))
     return res.value
 
 
