@@ -31,9 +31,9 @@ _EXPORTS = {
     "IntersectingGeometry": "kernels",
     "kernel_K_closed": "kernels",
     "kernel_K_numeric": "kernels",
+    "ALPHA_FS": "decoherence",
     "DecoherenceResult": "decoherence",
     "ParallelGeometry": "decoherence",
-    "PhysicalConstants": "decoherence",
     "ValidityInput": "decoherence",
     "interference_pattern": "decoherence",
     "max_flight_distance": "decoherence",

@@ -8,17 +8,18 @@ intersect     exponents and contrast for the V geometry
 verify        closed form vs independent-quadrature pass/fail table
 validity      wavepacket-spreading bound on the flight distance
 
-Conventions shared by all commands: one length unit per run, declared
-with --unit (default micrometers) and only ever converted for the
-validity command (everything else is scale free with c = 1 and v
-dimensionless); CSV output is comma separated with '\n' line endings, a
-header row, no trailing comma, and 12 significant digits; output is
-deterministic for fixed inputs and seed.  Exit codes: 0 success, 1
-verification failure, 2 invalid input, 3 numerical non-convergence.
+Conventions shared by all commands: lengths are scale free with c = 1
+and v dimensionless, except that validity reads dx0 in the unit given by
+its --unit flag (default micrometers); CSV output is comma separated
+with '\n' line endings, a header row, no trailing comma, and 12
+significant digits; output is deterministic for fixed inputs and seed.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
+numerical non-convergence.  Each command takes only the flags it reads.
 
 A flat key=value config file (one assignment per line, '#' comments,
-keys mirroring the long flags) can seed any flag's default; explicit
-flags win over the file.
+keys mirroring the long flags of any command) can seed any flag's
+default; each command takes the keys it reads, and explicit flags win
+over the file.
 """
 
 from __future__ import annotations
@@ -435,15 +436,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value file of flag defaults")
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    common.add_argument(
+
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--rel-tol", type=float, default=None, help="relative tolerance for quadrature paths"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
-    common.add_argument(
-        "--unit",
-        choices=sorted(_UNIT_M),
-        default="um",
-        help="length unit of this run (only the validity command converts)",
     )
 
     shape = argparse.ArgumentParser(add_help=False)
@@ -463,7 +459,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "kappa-sweep",
-        parents=[common],
+        parents=[common, tol],
         help="wavepacket shape constant on an aspect-ratio grid",
         description="CSV columns: beta (cylinder aspect ratio L/R, '-' for the "
         "sphere), kappa (shape constant), error_estimate (quadrature error). "
@@ -479,7 +475,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "parallel",
-        parents=[common, shape],
+        parents=[common, tol, shape],
         help="two parallel paths a distance r0 apart",
         description="Prints the kappa and kernel breakdown, w_vacuum, w_photon, "
         "w_total and contrast. With --sweep T emits CSV columns: T (flight "
@@ -498,7 +494,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "intersect",
-        parents=[common, shape],
+        parents=[common, tol, shape],
         help="V geometry: short arm L1 and long arm L2 meeting at angle theta",
         description="Prints the kappa/J/I breakdown, w_vacuum, w_photon, w_total "
         "and contrast. With --ell-sweep emits CSV columns: ell (wavepacket "
@@ -526,11 +522,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, tol],
         help="closed form vs independent quadrature, pass/fail table",
         description="Exit code 0 iff every comparison passes, 1 otherwise.",
     )
     p.add_argument("suite", choices=("kernels", "kappa", "all"))
+    p.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
     p.set_defaults(func=cmd_verify)
     subparsers["verify"] = p
 
@@ -539,10 +536,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         parents=[common],
         help="wavepacket-spreading bound on the flight distance",
         description="Prints the maximum flight distance in meters and the "
-        "scaling rule it follows; dx0 is read in the run length unit.",
+        "scaling rule it follows; dx0 is read in the unit given by --unit.",
     )
     p.add_argument("--energy-ev", type=float, default=1e4, help="kinetic energy, eV")
-    p.add_argument("--dx0", type=float, default=1.0, help="initial packet size, run units")
+    p.add_argument("--dx0", type=float, default=1.0, help="initial packet size")
+    p.add_argument("--unit", choices=sorted(_UNIT_M), default="um", help="length unit of --dx0")
     p.set_defaults(func=cmd_validity)
     subparsers["validity"] = p
 

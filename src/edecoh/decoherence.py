@@ -54,7 +54,7 @@ from .base import QuadratureConfig, log_ratio, require_finite, split_product
 from .wavepacket import KappaResult, Wavepacket, characteristic_length, kappa
 
 __all__ = [
-    "PhysicalConstants",
+    "ALPHA_FS",
     "ParallelGeometry",
     "IntersectingGeometry",
     "DecoherenceResult",
@@ -69,25 +69,20 @@ __all__ = [
     "check_regime",
 ]
 
+# fine-structure constant, the only coupling entering the exponents
+ALPHA_FS = 7.2973525693e-3
+
 # hbar*c in eV*m, used to convert the spreading bound to meters
 _HBAR_C_EV_M = 1.973269804e-7
+
+# electron rest energy in eV
+_ELECTRON_MASS_EV = 510998.95
 
 # regime note for ValidityInput.relativistic
 RELATIVISTIC_NOTE = (
     "kinetic energy above 5% of the rest mass; the nonrelativistic "
     "spreading bound is unreliable"
 )
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Couplings entering the exponents; alpha_fs is the only one."""
-
-    alpha_fs: float = 7.2973525693e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_fs < 1.0:
-            raise ValueError("alpha_fs must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,6 @@ class ValidityInput:
 
     energy: float
     dx0: float
-    electron_mass: float = 510998.95
 
     def __post_init__(self) -> None:
         require_finite(vars(self))
@@ -137,49 +131,33 @@ class ValidityInput:
             raise ValueError("energy must be positive")
         if not self.dx0 > 0.0:
             raise ValueError("dx0 must be positive")
-        if not self.electron_mass > 0.0:
-            raise ValueError("electron_mass must be positive")
 
     @property
     def relativistic(self) -> bool:
         """Kinetic energy above 5% of the rest mass (RELATIVISTIC_NOTE)."""
-        return self.energy > 0.05 * self.electron_mass
+        return self.energy > 0.05 * _ELECTRON_MASS_EV
 
 
-def w_vacuum_parallel(
-    geom: ParallelGeometry,
-    kap: KappaResult,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> float:
+def w_vacuum_parallel(geom: ParallelGeometry, kap: KappaResult) -> float:
     """Vacuum exponent of the parallel geometry (rest-frame flight time)."""
-    a = constants.alpha_fs / math.pi
+    a = ALPHA_FS / math.pi
     return a * (2.0 - kap.kappa + 2.0 * log_ratio((geom.T,), (kap.ell,)))
 
 
-def w_photon_parallel(
-    geom: ParallelGeometry,
-    mode: str = "exact-kernel",
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> float:
+def w_photon_parallel(geom: ParallelGeometry) -> float:
     """Photon exponent of the parallel geometry.
 
-    exact-kernel keeps the full coincident kernel K(T, r0) and so is valid
-    at any T/r0, T = r0 included; asymptotic keeps only the long-time form
-    -2 [1 + ln(T/r0)], good to 1% for T/r0 of a few tens.
+    Keeps the full coincident kernel K(T, r0) and so is valid at any T/r0,
+    T = r0 included; its long-time form -2 (alpha/pi) [1 + ln(T/r0)] is good
+    to 1% for T/r0 of a few tens.
     """
-    a = constants.alpha_fs / math.pi
-    if mode == "exact-kernel":
-        return a * kernel_K_closed(geom.T, geom.r0)
-    if mode == "asymptotic":
-        return -2.0 * a * (1.0 + log_ratio((geom.T,), (geom.r0,)))
-    raise ValueError(f"unknown mode: {mode!r}")
+    return ALPHA_FS / math.pi * kernel_K_closed(geom.T, geom.r0)
 
 
 def w_total_parallel(
     geom: ParallelGeometry,
     wp: Wavepacket,
     cfg: QuadratureConfig | None = None,
-    constants: PhysicalConstants = PhysicalConstants(),
 ) -> DecoherenceResult:
     """Total exponent and contrast for parallel paths, exact kernel branch.
 
@@ -188,9 +166,9 @@ def w_total_parallel(
     """
     notes = check_regime(geom, wp)
     kap = kappa(wp, cfg)
-    wv = w_vacuum_parallel(geom, kap, constants)
+    wv = w_vacuum_parallel(geom, kap)
     K = kernel_K_closed(geom.T, geom.r0)
-    wg = constants.alpha_fs / math.pi * K
+    wg = ALPHA_FS / math.pi * K
     return _result(wv, wg, {"kappa": kap.kappa, "K": K}, notes)
 
 
@@ -200,7 +178,6 @@ def w_total_intersecting(
     cfg: QuadratureConfig | None = None,
     *,
     branch: str = "closed",
-    constants: PhysicalConstants = PhysicalConstants(),
 ) -> DecoherenceResult:
     """Total exponent and contrast for the V geometry.
 
@@ -230,7 +207,7 @@ def w_total_intersecting(
         I_bb = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
     J = 2.0 * J_aa + J_bb + 4.0 * J_ab
     I = 2.0 * I_aa + I_bb + 4.0 * I_ab
-    half_a = 0.5 * constants.alpha_fs / math.pi
+    half_a = 0.5 * ALPHA_FS / math.pi
     breakdown = {
         "kappa": kap.kappa,
         "J_aa": J_aa,
@@ -268,7 +245,7 @@ def max_flight_distance(inp: ValidityInput) -> float:
     lies outside the range of normal floats.
     """
     m, e = split_product(
-        (2.0 * math.sqrt(2.0), math.sqrt(inp.electron_mass), math.sqrt(inp.energy), inp.dx0, inp.dx0),
+        (2.0 * math.sqrt(2.0), math.sqrt(_ELECTRON_MASS_EV), math.sqrt(inp.energy), inp.dx0, inp.dx0),
         (_HBAR_C_EV_M,),
     )
     try:

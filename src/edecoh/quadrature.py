@@ -278,12 +278,6 @@ def _excisions(
                 f"pole at {p!r} has too little room: its smallest excision half-width "
                 f"{eps[i, -1]:.3g} is not above the float spacing {np.spacing(abs(p)):.3g}"
             )
-    if len(interior) > 1:
-        min_gap = min(q - p for p, q in zip(interior, interior[1:]))
-        if min_gap <= 4.0 * eps[:, -1].min():
-            raise PoleSeparationError(
-                f"pole separation {min_gap:.3g} is below four smallest excision half-widths"
-            )
     return interior, eps
 
 

@@ -112,7 +112,6 @@ class KappaResult:
     kappa: float
     error_estimate: float
     ell: float
-    beta: float | None = None
 
 
 def characteristic_length(wp: Wavepacket) -> float:
@@ -124,15 +123,13 @@ def characteristic_length(wp: Wavepacket) -> float:
     raise TypeError(f"unsupported wavepacket type: {type(wp).__name__}")
 
 
-def cylinder_F(rho, rho_p, phi, beta: float, r_over_ell: float):
-    """Axial log-average for one transverse configuration of the cylinder.
+def cylinder_F(b2, beta: float, r_over_ell: float):
+    """Axial log-average of the cylinder at squared transverse separation b2.
 
-    Arguments may be scalars or broadcastable numpy arrays; radii are in
-    units of R (0 <= rho, rho' <= 1).  Symmetric under rho <-> rho' and
-    phi -> 2 pi - phi, since it depends on the transverse geometry only
-    through b.  Raises DomainError if the squared transverse separation
-    comes out below -1e-12 (impossible geometry); tiny negative round-off
-    is clamped to zero and routed through the explicit b = 0 limit.
+    b2 = rho^2 + rho'^2 - 2 rho rho' cos(phi), in units of R^2, is the only
+    transverse quantity F depends on; a scalar or a numpy array.  Raises
+    DomainError if b2 lies below -1e-12 (impossible geometry); tiny negative
+    round-off is clamped to zero and routed through the explicit b = 0 limit.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")
@@ -140,15 +137,7 @@ def cylinder_F(rho, rho_p, phi, beta: float, r_over_ell: float):
         raise ValueError("R/ell must be positive")
     import numpy as np
 
-    rho = np.asarray(rho, dtype=float)
-    rho_p = np.asarray(rho_p, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(rho < -1e-12) or np.any(rho > 1.0 + 1e-12):
-        raise DomainError("rho outside [0, 1]")
-    if np.any(rho_p < -1e-12) or np.any(rho_p > 1.0 + 1e-12):
-        raise DomainError("rho' outside [0, 1]")
-
-    b2 = rho * rho + rho_p * rho_p - 2.0 * rho * rho_p * np.cos(phi)
+    b2 = np.asarray(b2, dtype=float)
     if np.any(b2 < -1e-12):
         raise DomainError("squared transverse separation is negative")
     b2 = np.maximum(b2, 0.0)
@@ -192,9 +181,13 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     def transverse(r1, r2):
         # inner azimuthal integrals of all radius pairs (r1, r2[i]), refined
         # in lockstep; the half-range [0, pi] doubles by the phi -> 2 pi - phi
-        # symmetry
+        # symmetry of b^2
+        def F(phi, owner):
+            rp = r2[owner]
+            return cylinder_F(r1 * r1 + rp * rp - 2.0 * r1 * rp * np.cos(phi), beta, r_over_ell)
+
         results = _adapt_many(
-            lambda phi, owner: cylinder_F(r1, r2[owner], phi, beta, r_over_ell),
+            F,
             [phi_mesh] * r2.size,
             [phi_cfg] * r2.size,
         )
@@ -223,7 +216,7 @@ def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
     if isinstance(wp, UniformSphere):
         return KappaResult(KAPPA_SPHERE, 0.0, ell)
     res = require_converged(_cylinder_kappa(wp.beta, cfg or _CYL_CFG), "cylinder kappa")
-    return KappaResult(res.value, res.error_estimate, ell, wp.beta)
+    return KappaResult(res.value, res.error_estimate, ell)
 
 
 def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
@@ -300,5 +293,4 @@ def kappa_bruteforce_oracle(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     se = math.sqrt(var / samples)
-    beta = wp.beta if isinstance(wp, UniformCylinder) else None
-    return KappaResult(mean, se, ell, beta)
+    return KappaResult(mean, se, ell)

@@ -250,3 +250,23 @@ def test_criterion_10_interference_sanity():
         ok,
         f"coherent-limit residual {worst:.1e}, min density {least:.2e} over 1e3 phases",
     )
+
+
+def test_assembled_cancellation_residual_is_linear_in_ell_over_L1():
+    # Paper claim 3 in the assembled branch: the ell dependence of the vacuum
+    # term cancels against photon emission up to a remainder O(ell/L1), which
+    # the closed branch drops.  The numeric I_aa moves w_total by about 2e-7,
+    # under a tenth of the smallest residual here.
+    geom = IntersectingGeometry(L1=100.0, L2=10_000.0, theta=0.5, v=0.01)
+    ratios = (1e-3, 1e-2, 1e-1)
+    residual = []
+    for ratio in ratios:
+        wp = UniformSphere(radius=0.5 * ratio * geom.L1)
+        assembled = w_total_intersecting(geom, wp, branch="assembled").w_total
+        residual.append(assembled - w_total_intersecting(geom, wp).w_total)
+    slopes = [
+        math.log(residual[i + 1] / residual[i]) / math.log(ratios[i + 1] / ratios[i])
+        for i in range(len(ratios) - 1)
+    ]
+    assert all(r > 0.0 for r in residual), residual
+    assert all(abs(s - 1.0) <= 0.1 for s in slopes), slopes

@@ -280,6 +280,12 @@ class TestVerifyCommand:
         rc, _, _ = _run(capsys, ["verify", "bogus"])
         assert rc == 2
 
+    def test_seed_reaches_the_monte_carlo_checks(self, capsys):
+        rc, seeded, _ = _run(capsys, ["verify", "kappa", "--seed", "3"])
+        assert rc == 0
+        _, default, _ = _run(capsys, ["verify", "kappa"])
+        assert seeded != default
+
     def test_any_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "edecoh.cli._verify_kappa",
@@ -342,6 +348,36 @@ class TestConfigAndOutput:
         assert rc == 0
         # geometric midpoint, not arithmetic
         assert out.splitlines()[2].split(",")[0] == "100000"
+
+    def test_config_keys_of_other_commands_are_accepted(self, capsys, tmp_path, monkeypatch):
+        # one shared file: each command takes the keys it reads and ignores
+        # those of the others
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nunit = nm\n")
+        monkeypatch.setattr(
+            "edecoh.cli._verify_kappa", lambda args: [("seed probe", True, f"seed {args.seed}")]
+        )
+        rc, out, _ = _run(capsys, ["verify", "kappa", "--config", str(cfg)])
+        assert rc == 0
+        assert "seed 3" in out
+        rc, out, _ = _run(capsys, ["validity", "--dx0", "10", "--config", str(cfg)])
+        assert (rc, out) == _run(capsys, ["validity", "--dx0", "10", "--unit", "nm"])[:2]
+        rc, out, _ = _run(capsys, ["parallel", "--config", str(cfg)])
+        assert (rc, out) == _run(capsys, ["parallel"])[:2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kappa-sweep", "--seed", "1"],
+            ["parallel", "--unit", "nm"],
+            ["validity", "--rel-tol", "1e-6"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edecoh.quadrature import QuadratureConfig, integrate_1d
 from edecoh.wavepacket import (
@@ -73,16 +71,20 @@ def _axial_average_oracle(b: float, beta: float, r_over_ell: float) -> float:
     return res.value
 
 
+def _b2(rho, rho_p, phi):
+    return rho * rho + rho_p * rho_p - 2.0 * rho * rho_p * np.cos(phi)
+
+
 class TestCylinderF:
     def test_b_zero_limit_beta_one(self):
         # coincident transverse positions, aspect ratio 1, R/ell = 1/2
-        val = cylinder_F(0.7, 0.7, 0.0, 1.0, 0.5)
+        val = cylinder_F(0.0, 1.0, 0.5)
         assert math.isclose(val, math.log(0.5) - 1.5, rel_tol=1e-12)
 
     def test_b_zero_limit_general(self):
         # the finite limit is the axial log-average ln(L/ell) - 3/2
         for beta, r_over_ell in [(3.0, 1.0 / 3.0), (0.5, 0.5), (8.0, 0.125)]:
-            val = cylinder_F(0.4, 0.4, 0.0, beta, r_over_ell)
+            val = cylinder_F(0.0, beta, r_over_ell)
             expect = math.log(r_over_ell) + math.log(beta) - 1.5
             assert math.isclose(val, expect, rel_tol=1e-12)
             oracle = _axial_average_oracle(0.0, beta, r_over_ell)
@@ -92,59 +94,43 @@ class TestCylinderF:
     @pytest.mark.parametrize("rho,rho_p,phi", [(0.9, 0.2, 1.1), (0.5, 0.5, 2.8), (1.0, 1.0, 0.3)])
     def test_matches_axial_quadrature(self, beta, rho, rho_p, phi):
         r_over_ell = 1.0 / max(2.0, beta)
-        b = math.sqrt(rho * rho + rho_p * rho_p - 2.0 * rho * rho_p * math.cos(phi))
-        val = cylinder_F(rho, rho_p, phi, beta, r_over_ell)
-        assert math.isclose(val, _axial_average_oracle(b, beta, r_over_ell), rel_tol=0, abs_tol=1e-9)
+        b2 = _b2(rho, rho_p, phi)
+        oracle = _axial_average_oracle(math.sqrt(b2), beta, r_over_ell)
+        assert math.isclose(cylinder_F(b2, beta, r_over_ell), oracle, rel_tol=0, abs_tol=1e-9)
 
     def test_small_aspect_ratio_is_transverse_log(self):
         # flat disk: the axial extent drops out and F -> ln(R/ell) + ln b
-        rho, rho_p, phi = 0.8, 0.3, 2.0
-        b = math.sqrt(rho**2 + rho_p**2 - 2 * rho * rho_p * math.cos(phi))
-        val = cylinder_F(rho, rho_p, phi, 1e-3, 0.5)
-        assert abs(val - (math.log(0.5) + math.log(b))) < 1e-4
+        b2 = _b2(0.8, 0.3, 2.0)
+        val = cylinder_F(b2, 1e-3, 0.5)
+        assert abs(val - (math.log(0.5) + 0.5 * math.log(b2))) < 1e-4
 
     def test_large_aspect_ratio_is_axial_average(self):
         # thin rod with ell = L: F -> ln(L/ell) - 3/2 = -3/2; the leading
         # correction is pi*b/beta, so beta must dwarf the rim separation 2
         beta = 2000.0
         for args in [(0.1, 0.9, 0.4), (1.0, 1.0, math.pi)]:
-            assert abs(cylinder_F(*args, beta, 1.0 / beta) + 1.5) < 0.01
+            assert abs(cylinder_F(_b2(*args), beta, 1.0 / beta) + 1.5) < 0.01
 
     def test_vectorized_over_phi(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 7)
-        out = cylinder_F(0.6, 0.4, phi, 2.0, 0.5)
-        assert out.shape == phi.shape
-        for p, o in zip(phi, out):
-            assert math.isclose(cylinder_F(0.6, 0.4, float(p), 2.0, 0.5), o, rel_tol=1e-14)
-
-    @given(
-        rho=st.floats(0.0, 1.0),
-        rho_p=st.floats(0.0, 1.0),
-        phi=st.floats(0.0, 2.0 * math.pi),
-        beta=st.floats(0.05, 50.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_symmetries(self, rho, rho_p, phi, beta):
-        r_over_ell = 1.0 / max(2.0, beta)
-        a = cylinder_F(rho, rho_p, phi, beta, r_over_ell)
-        assert math.isclose(a, cylinder_F(rho_p, rho, phi, beta, r_over_ell), rel_tol=0, abs_tol=1e-9)
-        assert math.isclose(
-            a, cylinder_F(rho, rho_p, 2.0 * math.pi - phi, beta, r_over_ell), rel_tol=0, abs_tol=1e-9
-        )
+        b2 = _b2(0.6, 0.4, np.linspace(0.0, 2.0 * math.pi, 7))
+        out = cylinder_F(b2, 2.0, 0.5)
+        assert out.shape == b2.shape
+        for b2_i, o in zip(b2, out):
+            assert math.isclose(cylinder_F(float(b2_i), 2.0, 0.5), o, rel_tol=1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            cylinder_F(1.5, 0.5, 1.0, 1.0, 0.5)
+            cylinder_F(-2e-12, 1.0, 0.5)
         with pytest.raises(DomainError):
-            cylinder_F(0.5, -0.2, 1.0, 1.0, 0.5)
+            cylinder_F(np.array([0.5, -0.2]), 1.0, 0.5)
         with pytest.raises(ValueError):
-            cylinder_F(0.5, 0.5, 1.0, -1.0, 0.5)
+            cylinder_F(0.5, -1.0, 0.5)
         with pytest.raises(ValueError):
-            cylinder_F(0.5, 0.5, 1.0, 1.0, 0.0)
+            cylinder_F(0.5, 1.0, 0.0)
 
     def test_roundoff_negative_b2_clamped(self):
         # rho = rho', phi = 0 can give b^2 ~ -1e-17; must hit the b = 0 branch
-        val = cylinder_F(0.1 + 0.2, 0.3, 0.0, 1.0, 0.5)
+        val = cylinder_F(-1e-17, 1.0, 0.5)
         assert math.isclose(val, math.log(0.5) - 1.5, rel_tol=1e-9)
 
 
@@ -154,7 +140,6 @@ class TestKappa:
         assert res.kappa == -1.5
         assert res.error_estimate == 0.0
         assert res.ell == 2.0
-        assert res.beta is None
         assert kappa(UniformSphere(7.0)).kappa == res.kappa
 
     def test_sphere_numeric_path(self):
@@ -188,7 +173,6 @@ class TestKappa:
         mc = kappa_bruteforce_oracle(UniformCylinder(1.0, beta), samples=400_000, seed=53)
         combined = math.hypot(quad.error_estimate, mc.error_estimate)
         assert abs(quad.kappa - mc.kappa) < 4.0 * combined
-        assert quad.beta == beta
 
     @pytest.mark.parametrize("scale", [0.1, 10.0])
     def test_scale_invariance(self, scale):
@@ -212,13 +196,13 @@ class TestKappa:
         # nested quadrature converged on the whole tolerance, and the inner
         # error was then added on top.
         # Reference: kappa = 2 int_0^2 P(b) F(b) db with the disk-line-picking
-        # density P (Solomon 1978); F at b comes from rho = rho' = b/2, phi = pi.
+        # density P (Solomon 1978).
         beta = 0.16546
         res = kappa(UniformCylinder(1.0, beta))
 
         def pair_density_weighted_F(b):
             P = (4.0 * b / math.pi) * (np.arccos(b / 2) - (b / 2) * np.sqrt(1.0 - b * b / 4))
-            return P * cylinder_F(b / 2, b / 2, math.pi, beta, 0.5)
+            return P * cylinder_F(b * b, beta, 0.5)
 
         ref = integrate_1d(pair_density_weighted_F, 0.0, 2.0, QuadratureConfig(rel_tol=1e-13))
         assert ref.converged
