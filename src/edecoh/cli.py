@@ -15,6 +15,8 @@ with '\n' line endings, a header row, no trailing comma, and 12
 significant digits; output is deterministic for fixed inputs and seed.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 numerical non-convergence.  Each command takes only the flags it reads.
+Each command imports the physics it runs when it runs, so that --help
+and a usage error load nothing of the package beyond this module.
 
 A flat key=value config file (one assignment per line, '#' comments,
 keys mirroring the long flags of any command) can seed any flag's
@@ -29,37 +31,11 @@ import math
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from .base import NonConvergenceError, QuadratureConfig, require_finite
-from .decoherence import (
-    RELATIVISTIC_NOTE,
-    IntersectingGeometry,
-    ParallelGeometry,
-    ValidityInput,
-    max_flight_distance,
-    w_photon_parallel,
-    w_total_intersecting,
-    w_total_parallel,
-    w_vacuum_parallel,
-)
-from .kernels import (
-    K_EQUAL_ARGS_LIMIT,
-    kernel_K_closed,
-    kernel_K_numeric,
-    segment_I_aa,
-    segment_I_ab,
-    segment_I_bb,
-    segment_J_ab_closed,
-)
-from .wavepacket import (
-    UniformCylinder,
-    UniformSphere,
-    Wavepacket,
-    characteristic_length,
-    kappa,
-    kappa_bruteforce_oracle,
-    kappa_numeric,
-)
+if TYPE_CHECKING:
+    from .base import QuadratureConfig
+    from .wavepacket import Wavepacket
 
 _UNIT_M = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 
@@ -147,16 +123,22 @@ def _apply_config(path: str, subparsers: dict[str, argparse.ArgumentParser]) -> 
 def _quad_cfg(args: argparse.Namespace) -> QuadratureConfig | None:
     if args.rel_tol is None:
         return None
+    from .base import QuadratureConfig
+
     return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=max(args.rel_tol * 1e-3, 4e-16))
 
 
 def _wavepacket(args: argparse.Namespace) -> Wavepacket:
+    from .wavepacket import UniformCylinder, UniformSphere
+
     if args.shape == "sphere":
         return UniformSphere(radius=args.radius)
     return UniformCylinder(radius=args.radius, length=args.length)
 
 
 def _scaled(wp: Wavepacket, factor: float) -> Wavepacket:
+    from .wavepacket import UniformCylinder, UniformSphere
+
     try:
         if isinstance(wp, UniformSphere):
             return UniformSphere(radius=wp.radius * factor)
@@ -166,6 +148,8 @@ def _scaled(wp: Wavepacket, factor: float) -> Wavepacket:
 
 
 def _grid(lo: float, hi: float, steps: int, log_spacing: bool) -> list[float]:
+    from .base import require_finite
+
     require_finite({"sweep min": lo, "sweep max": hi})
     if not 0.0 < lo < hi:
         raise ValueError("sweep grid requires 0 < min < max")
@@ -192,7 +176,16 @@ def _print_result(stream: _OutStream, result) -> None:
 # commands
 
 def cmd_kappa_sweep(args: argparse.Namespace) -> int:
+    from .wavepacket import UniformCylinder, kappa
+
     cfg = _quad_cfg(args)
+    betas: list[float] = []
+    if args.shape == "cylinder":
+        betas = _grid(args.beta_min, args.beta_max, args.steps, args.log_spacing)
+        # the slope of kappa(beta) jumps where the length overtakes the
+        # diameter; pin that point whenever the grid brackets it
+        if args.beta_min < 2.0 < args.beta_max and 2.0 not in betas:
+            betas = sorted(betas + [2.0])
     stream = _OutStream(args.out)
     try:
         stream.line("beta,kappa,error_estimate")
@@ -200,11 +193,6 @@ def cmd_kappa_sweep(args: argparse.Namespace) -> int:
             # exact constant; no aspect-ratio axis to sweep
             stream.line("-,-1.5,0")
             return 0
-        betas = _grid(args.beta_min, args.beta_max, args.steps, args.log_spacing)
-        # the slope of kappa(beta) jumps where the length overtakes the
-        # diameter; pin that point whenever the grid brackets it
-        if args.beta_min < 2.0 < args.beta_max and 2.0 not in betas:
-            betas = sorted(betas + [2.0])
         for beta in betas:
             res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
             stream.line(f"{_fmt(beta)},{_fmt(res.kappa)},{_fmt(res.error_estimate)}")
@@ -214,17 +202,27 @@ def cmd_kappa_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_parallel(args: argparse.Namespace) -> int:
+    from .decoherence import (
+        ParallelGeometry,
+        w_photon_parallel,
+        w_total_parallel,
+        w_vacuum_parallel,
+    )
+    from .wavepacket import kappa
+
     geom = ParallelGeometry(r0=args.r0, T=args.T, v=args.v)
     wp = _wavepacket(args)
     cfg = _quad_cfg(args)
+    grid: list[float] = []
+    if args.sweep is not None:
+        lo = args.sweep_min if args.sweep_min is not None else 10.0 * geom.r0
+        hi = args.sweep_max if args.sweep_max is not None else 1e4 * geom.r0
+        grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
     stream = _OutStream(args.out)
     try:
         if args.sweep is None:
             _print_result(stream, w_total_parallel(geom, wp, cfg))
             return 0
-        lo = args.sweep_min if args.sweep_min is not None else 10.0 * geom.r0
-        hi = args.sweep_max if args.sweep_max is not None else 1e4 * geom.r0
-        grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
         kap = kappa(wp, cfg)
         stream.line("T,w_vacuum,w_photon,w_total")
         for T in grid:
@@ -238,6 +236,9 @@ def cmd_parallel(args: argparse.Namespace) -> int:
 
 
 def cmd_intersect(args: argparse.Namespace) -> int:
+    from .decoherence import IntersectingGeometry, w_total_intersecting
+    from .wavepacket import characteristic_length
+
     geom = IntersectingGeometry(L1=args.L1, L2=args.L2, theta=args.theta, v=args.v)
     wp = _wavepacket(args)
     cfg = _quad_cfg(args)
@@ -270,6 +271,17 @@ def cmd_intersect(args: argparse.Namespace) -> int:
 
 
 def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+    from .base import QuadratureConfig
+    from .kernels import (
+        K_EQUAL_ARGS_LIMIT,
+        IntersectingGeometry,
+        kernel_K_closed,
+        kernel_K_numeric,
+        segment_I_aa,
+        segment_I_ab,
+        segment_I_bb,
+        segment_J_ab_closed,
+    )
     from .quadrature import integrate_1d, integrate_nd
 
     cfg = _quad_cfg(args)
@@ -350,6 +362,14 @@ def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
 
 
 def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+    from .wavepacket import (
+        UniformCylinder,
+        UniformSphere,
+        kappa,
+        kappa_bruteforce_oracle,
+        kappa_numeric,
+    )
+
     cfg = _quad_cfg(args)
     checks: list[tuple[str, bool, str]] = []
 
@@ -412,6 +432,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_validity(args: argparse.Namespace) -> int:
+    from .decoherence import RELATIVISTIC_NOTE, ValidityInput, max_flight_distance
+
     unit_m = _UNIT_M[args.unit]
     stream = _OutStream(args.out)
     try:
@@ -569,10 +591,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
             return int(exc.code) if exc.code else 0
-        return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # looked up only here, so that a usage error loads no physics
+        from .base import NonConvergenceError
+
+        try:
+            return args.func(args)
+        except NonConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     except BrokenPipeError:
         # consumer closed the stream (e.g. piping into head); silence the
         # interpreter's shutdown flush and call the truncation a success

@@ -9,11 +9,15 @@ with y, y' drawn independently from the (uniform) wavepacket density and
 ell the characteristic length of the packet: the diameter 2R for a sphere,
 max(2R, L) for a cylinder of radius R and length L.  The squared-separation
 normalization is the one under which the quoted closed forms cohere: the
-sphere average is exactly -3/2 (the single-power average is -3/4), and the
-flat-disk limit of the cylinder is -3/2 as well.  Taking ell as the larger
-of the two cylinder scales keeps kappa of order one for any aspect ratio;
-the switch at L = 2R is also what produces the derivative kink of kappa as
-a function of the aspect ratio beta = L/R at beta = 2.
+sphere average is exactly -3/2 (the single-power average is -3/4).  The
+cylinder runs from the flat-disk limit -1/2 - 2 ln 2 = -1.886294... (the
+mean log distance in a unit disk is -1/4, and ell = 2R) at beta -> 0 to
+the thin-rod limit -3 + 256/(45 beta) at beta -> infinity (the mean pair
+distance in a unit disk is 128/(45 pi); Solomon, Geometric Probability,
+1978).  Taking ell as the larger of the two cylinder scales keeps kappa of
+order one for any aspect ratio; the switch at L = 2R is also what produces
+the derivative kink of kappa as a function of the aspect ratio beta = L/R
+at beta = 2.
 
 For the cylinder the six-dimensional average reduces to three quadratures:
 with scaled radii rho, rho' in [0, 1], relative azimuth phi and transverse
@@ -32,7 +36,12 @@ the explicit limit F = ln(R/ell) + ln(beta) - 3/2, i.e. the axial
 log-average ln(L/ell) - 3/2; the implementation handles that branch
 explicitly instead of relying on floating-point cancellation.  Limits:
 F -> ln(R/ell) + ln b for beta -> 0 (flat disk) and F -> ln(L/ell) - 3/2
-for beta -> infinity (thin rod).
+for beta -> infinity (thin rod).  For beta << b the bracket is O(beta^2)
+but formed from O(b^2 ln b) terms, so there F is summed instead as the
+log-moment series of the triangular axial density (E[w^2k] =
+1/((k + 1)(2k + 1))), with x = beta^2 / b^2:
+
+    F = ln(R/ell) + ln b + 1/2 sum_k (-1)^(k+1) x^k / (k (k + 1) (2k + 1)).
 
 A brute-force Monte-Carlo estimate of the six-dimensional average serves as
 the independent oracle for the quadrature path.
@@ -123,6 +132,17 @@ def characteristic_length(wp: Wavepacket) -> float:
     raise TypeError(f"unsupported wavepacket type: {type(wp).__name__}")
 
 
+# the closed form's bracket is O(beta^2) formed from O(b^2 ln b) terms, so
+# its error grows as eps / x with x = beta^2 / b^2.  Below x = _SERIES_X, F
+# is summed as the series in x instead: its first omitted term is
+# x^8 / 2448, and the closed form above the switch stays within
+# 2e-13 max(1, |F|) of F.
+# b^2 <= 4 in a unit-radius disk, so no beta at or above 2 sqrt(_SERIES_X)
+# reaches the series, and those run the closed form alone
+_SERIES_X = 2e-3
+_SERIES_BETA = 2.0 * math.sqrt(_SERIES_X)
+
+
 def cylinder_F(b2, beta: float, r_over_ell: float):
     """Axial log-average of the cylinder at squared transverse separation b2.
 
@@ -154,6 +174,13 @@ def cylinder_F(b2, beta: float, r_over_ell: float):
         + 3.0 * beta2
     )
     out = math.log(r_over_ell) + bracket / beta2
+    if beta < _SERIES_BETA:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = beta2 / b2
+            series = np.log(b2) + sum(
+                (-1.0) ** (k + 1) * x**k / (k * (k + 1) * (2 * k + 1)) for k in range(1, 8)
+            )
+        out = np.where(x < _SERIES_X, math.log(r_over_ell) + 0.5 * series, out)
     return out if out.ndim else float(out)
 
 

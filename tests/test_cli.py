@@ -32,6 +32,16 @@ def _field(out: str, name: str) -> float:
     raise AssertionError(f"no line for {name!r} in output")
 
 
+def _assert_out_file_kept(capsys, tmp_path, argv: list[str]) -> None:
+    """A command that rejects its input leaves an existing --out file as it was."""
+    out_file = tmp_path / "earlier.csv"
+    out_file.write_bytes(b"earlier,output\n")
+    rc, out, _ = _run(capsys, [*argv, "--out", str(out_file)])
+    assert rc == 2
+    assert out == ""
+    assert out_file.read_bytes() == b"earlier,output\n"
+
+
 class TestKappaSweep:
     def test_sphere_is_a_single_exact_row(self, capsys):
         rc, out, _ = _run(capsys, ["kappa-sweep", "--shape", "sphere"])
@@ -75,18 +85,22 @@ class TestKappaSweep:
             ["kappa-sweep", "--beta-min", "0", "--beta-max", "4", "--steps", "3"],
             ["kappa-sweep", "--beta-min", "4", "--beta-max", "1", "--steps", "3"],
             ["kappa-sweep", "--beta-min", "1", "--beta-max", "4", "--steps", "1"],
+            ["kappa-sweep", "--beta-min", "1", "--beta-max", "inf", "--steps", "3"],
+            ["kappa-sweep", "--beta-min", "nan", "--beta-max", "4", "--steps", "3"],
         ],
     )
-    def test_bad_grids_exit_2(self, capsys, argv):
-        rc, _, err = _run(capsys, argv)
+    def test_bad_grids_exit_2(self, capsys, tmp_path, argv):
+        rc, out, err = _run(capsys, argv)
         assert rc == 2
+        assert out == ""
         assert err.startswith("error:")
+        _assert_out_file_kept(capsys, tmp_path, argv)
 
     def test_nonconvergence_exits_3_with_partial_output(self, capsys, tmp_path, monkeypatch):
         def explode(wp, cfg=None):
             raise NonConvergenceError("kappa quadrature stalled")
 
-        monkeypatch.setattr("edecoh.cli.kappa", explode)
+        monkeypatch.setattr("edecoh.wavepacket.kappa", explode)
         out_file = tmp_path / "sweep.csv"
         rc, _, err = _run(
             capsys,
@@ -100,6 +114,21 @@ class TestKappaSweep:
 
 
 class TestParallelCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parallel", "--sweep", "T", "--sweep-steps", "1"],
+            ["parallel", "--sweep", "T", "--sweep-min", "5e4", "--sweep-max", "1e3"],
+            ["parallel", "--sweep", "T", "--sweep-max", "inf"],
+        ],
+    )
+    def test_bad_sweep_grids_exit_2_before_writing(self, capsys, tmp_path, argv):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+        _assert_out_file_kept(capsys, tmp_path, argv)
+
     def test_defaults_reproduce_the_reference_point(self, capsys):
         rc, out, _ = _run(capsys, ["parallel"])
         assert rc == 0
@@ -196,7 +225,7 @@ class TestIntersectCommand:
         def explode(*args, **kwargs):
             raise AssertionError("the sweep ran before it was validated")
 
-        monkeypatch.setattr("edecoh.cli.w_total_intersecting", explode)
+        monkeypatch.setattr("edecoh.decoherence.w_total_intersecting", explode)
         rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--ell-sweep"])
         assert rc == 2
         assert out == ""

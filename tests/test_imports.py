@@ -1,9 +1,11 @@
 """Where the import boundary lies.
 
-The closed forms, the parser and the shared types load no numpy: a
-closed-form command starts in about half the time of one that integrates.
-Each boundary check runs in a fresh interpreter, since this one has long
-loaded numpy.
+The parser loads no physics: `python -m edecoh --help`, a usage error and
+a bad config key import nothing of the package beyond `edecoh`, its
+`__main__` and `edecoh.cli`; each command imports the modules it runs.
+The closed forms and the shared types load no numpy: a closed-form command
+starts in about half the time of one that integrates.  Each boundary
+check runs in a fresh interpreter, since this one has long loaded numpy.
 """
 
 from __future__ import annotations
@@ -16,22 +18,57 @@ import pytest
 
 import edecoh
 
-_SCRIPT = """
-import contextlib, io, sys
-from edecoh.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    rc = main({argv!r})
-print(rc, "numpy" in sys.modules)
-"""
+# what a start that runs no command may load of the package
+_PARSER_MODULES = {"edecoh", "edecoh.__main__", "edecoh.cli"}
+_COMMANDS = ("kappa-sweep", "parallel", "intersect", "verify", "validity")
 
 
-def _fresh_main(argv: list[str]) -> tuple[int, bool]:
+def _fresh_start(argv: list[str]) -> tuple[int, str, str, set[str]]:
+    """`python -m edecoh <argv>` in a fresh interpreter, with `-X importtime`
+    reporting every module it imports on stderr.  Returns the exit code,
+    stdout, the rest of stderr and the modules imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT.format(argv=argv)],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-X", "importtime", "-m", "edecoh", *argv],
+        capture_output=True, text=True,
     )
-    rc, loaded = proc.stdout.split()
-    return int(rc), loaded == "True"
+    imported, err = set(), []
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            imported.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "\n".join(err), imported
+
+
+def _package(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "edecoh" or m.startswith("edecoh.")}
+
+
+def test_help_start_loads_only_the_parser():
+    # the command the benchmark's setup_s times
+    rc, out, _, loaded = _fresh_start(["--help"])
+    assert rc == 0
+    assert "{" + ",".join(_COMMANDS) + "}" in out
+    assert "edecoh.cli" in loaded
+    assert _package(loaded) <= _PARSER_MODULES
+
+
+def test_usage_error_loads_only_the_parser():
+    rc, out, err, loaded = _fresh_start(["intersect", "--bogus"])
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --bogus" in err
+    assert _package(loaded) <= _PARSER_MODULES
+
+
+def test_bad_config_key_loads_only_the_parser(tmp_path):
+    config = tmp_path / "edecoh.cfg"
+    config.write_text("bogus_key = 1\n")
+    rc, out, err, loaded = _fresh_start(["intersect", "--config", str(config)])
+    assert rc == 2
+    assert out == ""
+    assert "error: unknown config key: 'bogus_key'" in err
+    assert _package(loaded) <= _PARSER_MODULES
 
 
 @pytest.mark.parametrize(
@@ -46,12 +83,14 @@ def _fresh_main(argv: list[str]) -> tuple[int, bool]:
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv, rc):
-    assert _fresh_main(argv) == (rc, False)
+    code, _, _, loaded = _fresh_start(argv)
+    assert (code, "numpy" in loaded) == (rc, False)
 
 
 def test_kappa_sweep_loads_numpy():
     argv = ["kappa-sweep", "--beta-min", "3", "--beta-max", "5", "--steps", "2"]
-    assert _fresh_main(argv) == (0, True)
+    code, _, _, loaded = _fresh_start(argv)
+    assert (code, "numpy" in loaded) == (0, True)
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -128,6 +128,36 @@ class TestCylinderF:
         with pytest.raises(ValueError):
             cylinder_F(0.5, 1.0, 0.0)
 
+    def test_matches_mpmath_across_beta(self):
+        # the closed form at 90 digits, where its O(b^2 ln b) terms cancel to
+        # the O(beta^2) bracket without loss; the float closed form alone
+        # reaches O(1) error at beta = 1e-8, the series keeps F to rounding
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(b2, beta, r_over_ell):
+            with mpmath.workdps(90):
+                b2, beta = mpmath.mpf(b2), mpmath.mpf(beta)
+                if b2 == 0:
+                    return float(mpmath.log(r_over_ell) + mpmath.log(beta) - 1.5)
+                b = mpmath.sqrt(b2)
+                bracket = b2 * mpmath.log(b) - (
+                    (b2 - beta**2) * mpmath.log(b2 + beta**2)
+                    - 4 * beta * b * mpmath.atan2(beta, b)
+                    + 3 * beta**2
+                ) / 2
+                return float(mpmath.log(r_over_ell) + bracket / beta**2)
+
+        for beta in np.geomspace(1e-12, 1e6, 37):
+            r_over_ell = 1.0 / max(2.0, beta)
+            # b^2 in [0, 4], crowded where x = beta^2 / b^2 crosses the switch
+            b2 = np.concatenate([[0.0, 1e-300], np.geomspace(1e-30, 4.0, 25),
+                                 beta**2 / np.geomspace(1e-3, 1e-2, 9)])
+            b2 = b2[b2 <= 4.0]
+            for b2_i, val in zip(b2, cylinder_F(b2, beta, r_over_ell)):
+                ref = exact(b2_i, beta, r_over_ell)
+                assert abs(val - ref) <= 2e-13 * max(1.0, abs(ref)), (beta, b2_i)
+                assert cylinder_F(float(b2_i), beta, r_over_ell) == val
+
     def test_roundoff_negative_b2_clamped(self):
         # rho = rho', phi = 0 can give b^2 ~ -1e-17; must hit the b = 0 branch
         val = cylinder_F(-1e-17, 1.0, 0.5)
@@ -207,6 +237,21 @@ class TestKappa:
         ref = integrate_1d(pair_density_weighted_F, 0.0, 2.0, QuadratureConfig(rel_tol=1e-13))
         assert ref.converged
         assert abs(res.kappa - 2.0 * ref.value) <= res.error_estimate
+
+    def test_flat_disk_limit(self):
+        # beta -> 0: kappa = 2 <ln(d / 2R)> over a unit disk, whose mean log
+        # distance is ln R - 1/4 (Solomon 1978), so kappa -> -1/2 - 2 ln 2;
+        # the gap is 9.8e-3 at beta = 0.1
+        gap = kappa(UniformCylinder(1.0, 0.01)).kappa - (-0.5 - 2.0 * math.log(2.0))
+        assert 0.0 < gap < 2.5e-4
+
+    @pytest.mark.parametrize("beta", [1e3, 1e5])
+    def test_thin_rod_limit(self, beta):
+        # beta -> inf: kappa = -3 + 256 / (45 beta) + O(ln beta / beta^2),
+        # from the mean pair distance 128 R / (45 pi) in a disk (Solomon 1978)
+        res = kappa(UniformCylinder(1.0, beta))
+        gap = res.kappa - (-3.0 + 256.0 / (45.0 * beta))
+        assert abs(gap) <= 3.0 * math.log(beta) / beta**2 + res.error_estimate
 
     def test_seed_determinism(self):
         a = kappa_bruteforce_oracle(UniformSphere(1.0), samples=50_000, seed=9)
