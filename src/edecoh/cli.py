@@ -21,7 +21,10 @@ and a usage error load nothing of the package beyond this module.
 A flat key=value config file (one assignment per line, '#' comments,
 keys mirroring the long flags of any command) can seed any flag's
 default; each command takes the keys it reads, and explicit flags win
-over the file.
+over the file.  --config takes any spelling of the flag that argparse
+accepts (--conf FILE, --con=FILE).  --out opens its file when the
+first line is written: a rejected input leaves an existing file as it
+was, and an unwritable path exits 2 once the first line is ready.
 """
 
 from __future__ import annotations
@@ -50,12 +53,20 @@ def _fmt(x: float) -> str:
 
 
 class _OutStream:
-    """Line sink honoring --out; flushes per line so partial sweeps survive errors."""
+    """Line sink honoring --out.
+
+    The file is opened when the first line is written, so an input rejected
+    before any output leaves an existing file as it was; each line is
+    flushed so partial sweeps survive errors.
+    """
 
     def __init__(self, path: str | None) -> None:
-        self._fh = open(path, "w", encoding="utf-8", newline="") if path else None
+        self._path = path
+        self._fh = None
 
     def line(self, text: str) -> None:
+        if self._path and self._fh is None:
+            self._fh = open(self._path, "w", encoding="utf-8", newline="")
         fh = self._fh if self._fh is not None else sys.stdout
         fh.write(text + "\n")
         fh.flush()
@@ -175,7 +186,7 @@ def _print_result(stream: _OutStream, result) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_kappa_sweep(args: argparse.Namespace) -> int:
+def cmd_kappa_sweep(args: argparse.Namespace, out: _OutStream) -> int:
     from .wavepacket import UniformCylinder, kappa
 
     cfg = _quad_cfg(args)
@@ -186,22 +197,18 @@ def cmd_kappa_sweep(args: argparse.Namespace) -> int:
         # diameter; pin that point whenever the grid brackets it
         if args.beta_min < 2.0 < args.beta_max and 2.0 not in betas:
             betas = sorted(betas + [2.0])
-    stream = _OutStream(args.out)
-    try:
-        stream.line("beta,kappa,error_estimate")
-        if args.shape == "sphere":
-            # exact constant; no aspect-ratio axis to sweep
-            stream.line("-,-1.5,0")
-            return 0
-        for beta in betas:
-            res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
-            stream.line(f"{_fmt(beta)},{_fmt(res.kappa)},{_fmt(res.error_estimate)}")
+    out.line("beta,kappa,error_estimate")
+    if args.shape == "sphere":
+        # exact constant; no aspect-ratio axis to sweep
+        out.line("-,-1.5,0")
         return 0
-    finally:
-        stream.close()
+    for beta in betas:
+        res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
+        out.line(f"{_fmt(beta)},{_fmt(res.kappa)},{_fmt(res.error_estimate)}")
+    return 0
 
 
-def cmd_parallel(args: argparse.Namespace) -> int:
+def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
     from .decoherence import (
         ParallelGeometry,
         w_photon_parallel,
@@ -218,24 +225,20 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         lo = args.sweep_min if args.sweep_min is not None else 10.0 * geom.r0
         hi = args.sweep_max if args.sweep_max is not None else 1e4 * geom.r0
         grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
-    stream = _OutStream(args.out)
-    try:
-        if args.sweep is None:
-            _print_result(stream, w_total_parallel(geom, wp, cfg))
-            return 0
-        kap = kappa(wp, cfg)
-        stream.line("T,w_vacuum,w_photon,w_total")
-        for T in grid:
-            g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
-            wv = w_vacuum_parallel(g, kap)
-            wg = w_photon_parallel(g)
-            stream.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
+    if args.sweep is None:
+        _print_result(out, w_total_parallel(geom, wp, cfg))
         return 0
-    finally:
-        stream.close()
+    kap = kappa(wp, cfg)
+    out.line("T,w_vacuum,w_photon,w_total")
+    for T in grid:
+        g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
+        wv = w_vacuum_parallel(g, kap)
+        wg = w_photon_parallel(g)
+        out.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
+    return 0
 
 
-def cmd_intersect(args: argparse.Namespace) -> int:
+def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
     from .decoherence import IntersectingGeometry, w_total_intersecting
     from .wavepacket import characteristic_length
 
@@ -253,21 +256,17 @@ def cmd_intersect(args: argparse.Namespace) -> int:
                     f"--ell-sweep reaches ell = {_fmt(ell)}, not below L1 = {_fmt(geom.L1)}; "
                     "the assembled branch needs ell < L1"
                 )
-    stream = _OutStream(args.out)
-    try:
-        if not args.ell_sweep:
-            _print_result(stream, w_total_intersecting(geom, wp, cfg, branch=args.branch))
-            return 0
-        stream.line("ell,w_vacuum,w_photon,w_total")
-        for scaled in sweep:
-            res = w_total_intersecting(geom, scaled, cfg, branch=args.branch)
-            stream.line(
-                f"{_fmt(characteristic_length(scaled))},{_fmt(res.w_vacuum)},"
-                f"{_fmt(res.w_photon)},{_fmt(res.w_total)}"
-            )
+    if not args.ell_sweep:
+        _print_result(out, w_total_intersecting(geom, wp, cfg, branch=args.branch))
         return 0
-    finally:
-        stream.close()
+    out.line("ell,w_vacuum,w_photon,w_total")
+    for scaled in sweep:
+        res = w_total_intersecting(geom, scaled, cfg, branch=args.branch)
+        out.line(
+            f"{_fmt(characteristic_length(scaled))},{_fmt(res.w_vacuum)},"
+            f"{_fmt(res.w_photon)},{_fmt(res.w_total)}"
+        )
+    return 0
 
 
 def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
@@ -413,42 +412,33 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, out: _OutStream) -> int:
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("kernels", "all"):
         checks.extend(_verify_kernels(args))
     if args.suite in ("kappa", "all"):
         checks.extend(_verify_kappa(args))
     width = max(len(name) for name, _, _ in checks)
-    stream = _OutStream(args.out)
-    try:
-        for name, ok, detail in checks:
-            stream.line(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
-        failed = sum(1 for _, ok, _ in checks if not ok)
-        stream.line(f"{len(checks) - failed} passed, {failed} failed")
-        return 0 if failed == 0 else 1
-    finally:
-        stream.close()
+    for name, ok, detail in checks:
+        out.line(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
+    failed = sum(1 for _, ok, _ in checks if not ok)
+    out.line(f"{len(checks) - failed} passed, {failed} failed")
+    return 0 if failed == 0 else 1
 
 
-def cmd_validity(args: argparse.Namespace) -> int:
+def cmd_validity(args: argparse.Namespace, out: _OutStream) -> int:
     from .decoherence import RELATIVISTIC_NOTE, ValidityInput, max_flight_distance
 
-    unit_m = _UNIT_M[args.unit]
-    stream = _OutStream(args.out)
-    try:
-        dx0_m = args.dx0 * unit_m
-        if args.dx0 > 0.0 and dx0_m == 0.0:
-            raise ValueError(f"dx0 = {args.dx0:g} {args.unit} underflows to 0 m")
-        inp = ValidityInput(energy=args.energy_ev, dx0=dx0_m)
-        base = max_flight_distance(ValidityInput(energy=_SCALING_E_EV, dx0=_SCALING_DX0_M))
-        stream.line(f"max_flight_m = {_fmt(max_flight_distance(inp))}")
-        stream.line(f"scaling: {_fmt(base)} m * sqrt(E / 10 keV) * (dx0 / 1 um)^2")
-        if inp.relativistic:
-            stream.line(f"note: {RELATIVISTIC_NOTE}")
-        return 0
-    finally:
-        stream.close()
+    dx0_m = args.dx0 * _UNIT_M[args.unit]
+    if args.dx0 > 0.0 and dx0_m == 0.0:
+        raise ValueError(f"dx0 = {args.dx0:g} {args.unit} underflows to 0 m")
+    inp = ValidityInput(energy=args.energy_ev, dx0=dx0_m)
+    base = max_flight_distance(ValidityInput(energy=_SCALING_E_EV, dx0=_SCALING_DX0_M))
+    out.line(f"max_flight_m = {_fmt(max_flight_distance(inp))}")
+    out.line(f"scaling: {_fmt(base)} m * sqrt(E / 10 keV) * (dx0 / 1 um)^2")
+    if inp.relativistic:
+        out.line(f"note: {RELATIVISTIC_NOTE}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -569,36 +559,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, subparsers
 
 
-def _peek_config(argv: Sequence[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        config_path = _peek_config(argv)
-        if config_path is not None:
-            _apply_config(config_path, subparsers)
         try:
             args = parser.parse_args(argv)
+            if args.config is not None:
+                # argparse has resolved the path, whatever spelling of
+                # --config it matched; parse again over the file's defaults
+                _apply_config(args.config, subparsers)
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
             return int(exc.code) if exc.code else 0
         # looked up only here, so that a usage error loads no physics
         from .base import NonConvergenceError
 
+        out = _OutStream(args.out)
         try:
-            return args.func(args)
+            return args.func(args, out)
         except NonConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        finally:
+            out.close()
     except BrokenPipeError:
         # consumer closed the stream (e.g. piping into head); silence the
         # interpreter's shutdown flush and call the truncation a success
@@ -607,10 +590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError, AttributeError):
             pass
         return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

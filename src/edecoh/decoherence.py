@@ -260,20 +260,12 @@ def max_flight_distance(inp: ValidityInput) -> float:
     return bound
 
 
-def check_regime(
-    geom: ParallelGeometry | IntersectingGeometry,
-    wp: Wavepacket,
-    validity: ValidityInput | None = None,
-    unit_m: float = 1e-6,
-) -> list[str]:
+def check_regime(geom: ParallelGeometry | IntersectingGeometry, wp: Wavepacket) -> list[str]:
     """Separation-of-scales audit; returns human-readable violation notes.
 
     The notes are the only report of regime problems: every exponent is
     computed whatever they say, and the results carry them as .notes.
-
-    Geometry lengths are interpreted in multiples of unit_m (micrometers by
-    default) only when a spreading-bound comparison is requested via
-    `validity`; the scale-ratio checks themselves are unit-free.
+    The checks are scale-ratio comparisons and so unit-free.
     """
     ell = characteristic_length(wp)
     notes: list[str] = []
@@ -284,7 +276,6 @@ def check_regime(
             notes.append("flight time T is within a factor 10 of the separation r0")
         if geom.T < 10.0 * ell:
             notes.append("flight time T is within a factor 10 of the wavepacket size")
-        flight = geom.v * geom.T
     elif isinstance(geom, IntersectingGeometry):
         if geom.L1 < 10.0 * ell:
             notes.append("L1 is within a factor 10 of the wavepacket size")
@@ -292,18 +283,8 @@ def check_regime(
             notes.append("L2 is within a factor 10 of L1")
         if geom.v * math.sin(geom.theta) > 0.2:
             notes.append("v sin(theta) exceeds 0.2; small-speed kernels lose accuracy")
-        flight = geom.L1 + geom.L2
     else:
         raise TypeError(f"unsupported geometry type: {type(geom).__name__}")
     if geom.v > 0.3:
         notes.append("speed v exceeds 0.3; treatment is nonrelativistic")
-    if validity is not None:
-        bound = max_flight_distance(validity)
-        if validity.relativistic:
-            notes.append(RELATIVISTIC_NOTE)
-        if flight * unit_m > 0.1 * bound:
-            notes.append(
-                f"flight distance {flight * unit_m:.3g} m exceeds 10% of the "
-                f"spreading bound {bound:.3g} m"
-            )
     return notes

@@ -96,6 +96,23 @@ class TestKappaSweep:
         assert err.startswith("error:")
         _assert_out_file_kept(capsys, tmp_path, argv)
 
+    def test_small_beta_grid_ends_at_the_flat_disk_limit(self, capsys):
+        # the flat-disk limit kappa(0) = -1/2 - 2 ln 2; 0.02 beta bounds the
+        # approach (measured: 0.003 beta at beta = 1e-4)
+        start = time.perf_counter()
+        rc, out, _ = _run(
+            capsys,
+            ["kappa-sweep", "--beta-min", "1e-12", "--beta-max", "1e-4", "--steps", "5",
+             "--log-spacing"],
+        )
+        assert rc == 0
+        assert time.perf_counter() - start < 30.0
+        flat_disk = -0.5 - 2.0 * math.log(2.0)
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        for beta, kap, err in rows:
+            assert abs(kap - flat_disk) <= err + 0.02 * beta, beta
+
     def test_nonconvergence_exits_3_with_partial_output(self, capsys, tmp_path, monkeypatch):
         def explode(wp, cfg=None):
             raise NonConvergenceError("kappa quadrature stalled")
@@ -408,6 +425,15 @@ class TestConfigAndOutput:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
+    def test_config_takes_any_spelling_argparse_accepts(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r0 = 50\nT = 5e5\n")
+        rc, full, _ = _run(capsys, ["parallel", "--config", str(cfg)])
+        assert rc == 0
+        assert full != _run(capsys, ["parallel"])[1]
+        for spelling in (["--conf", str(cfg)], [f"--con={cfg}"]):
+            assert _run(capsys, ["parallel", *spelling]) == (0, full, ""), spelling
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key = 1\n")
@@ -422,12 +448,35 @@ class TestConfigAndOutput:
         assert rc == 2
         assert "key=value" in err
 
-    def test_out_redirects_everything(self, capsys, tmp_path):
-        out_file = tmp_path / "rows.csv"
-        rc, out, _ = _run(capsys, ["kappa-sweep", "--shape", "sphere", "--out", str(out_file)])
-        assert rc == 0
-        assert out == ""
-        assert out_file.read_text() == "beta,kappa,error_estimate\n-,-1.5,0\n"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parallel", "--r0", "5"],
+            ["parallel", "--sweep", "T", "--sweep-steps", "3"],
+            ["intersect", "--ell-sweep"],
+            ["validity", "--energy-ev", "1e5"],
+            ["kappa-sweep", "--shape", "sphere"],
+        ],
+        ids=["parallel-notes", "parallel-sweep", "intersect-ell-sweep", "validity-note",
+             "kappa-sweep-sphere"],
+    )
+    def test_out_redirects_everything(self, capsys, tmp_path, argv):
+        rc, printed, err = _run(capsys, argv)
+        assert (rc, err) == (0, "")
+        out_file = tmp_path / "rows.txt"
+        assert _run(capsys, [*argv, "--out", str(out_file)]) == (0, "", "")
+        assert out_file.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validity", "--energy-ev", "-1"],
+            ["validity", "--dx0", "1e-320", "--unit", "nm"],
+            ["intersect", "--branch", "assembled", "--radius", "60"],
+        ],
+    )
+    def test_rejected_input_leaves_out_file_as_it_was(self, capsys, tmp_path, argv):
+        _assert_out_file_kept(capsys, tmp_path, argv)
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         rc, _, err = _run(

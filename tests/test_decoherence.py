@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from edecoh.decoherence import (
     ALPHA_FS,
-    RELATIVISTIC_NOTE,
     DecoherenceResult,
     IntersectingGeometry,
     ParallelGeometry,
@@ -302,10 +301,6 @@ class TestValidity:
     def test_relativistic_note(self):
         assert ValidityInput(energy=1e5, dx0=1e-6).relativistic
         assert not ValidityInput(energy=1e4, dx0=1e-6).relativistic
-        # a generous dx0 keeps the spreading-bound note out
-        hot = ValidityInput(energy=1e5, dx0=1e-3)
-        geom = ParallelGeometry(r0=100.0, T=1e4 * 100.0, v=0.01)
-        assert check_regime(geom, SPHERE_ELL_1, validity=hot) == [RELATIVISTIC_NOTE]
 
     def test_check_regime_clean(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
@@ -326,12 +321,3 @@ class TestValidity:
         assert check_regime(wide, SPHERE_ELL_1) == [
             "v sin(theta) exceeds 0.2; small-speed kernels lose accuracy"
         ]
-
-    def test_check_regime_spreading_bound(self):
-        # a kilometer-scale flight at micrometer units violates the bound
-        geom = ParallelGeometry(r0=100.0, T=1e4 * 100.0, v=0.01)
-        validity = ValidityInput(energy=1e4, dx0=1e-8)
-        notes = check_regime(geom, SPHERE_ELL_1, validity=validity)
-        assert any("spreading bound" in n for n in notes)
-        roomy = ValidityInput(energy=1e4, dx0=1e-5)
-        assert check_regime(geom, SPHERE_ELL_1, validity=roomy) == []

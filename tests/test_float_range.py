@@ -19,7 +19,9 @@ import contextlib
 import io
 import math
 import re
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -137,8 +139,9 @@ def test_K_keeps_its_digits_across_the_float_range(T, rho):
 
 
 # ---------------------------------------------------------------------------
-# property: every closed-form run ends in exit 0 with finite numbers, or in
-# exit 2 with one error line that names an input
+# property: every closed-form run ends in exit 0 with finite numbers written
+# to --out, or in exit 2 with one error line that names an input and the
+# --out file left as it was
 
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]
 _VALUES = st.one_of(
@@ -146,6 +149,7 @@ _VALUES = st.one_of(
     st.floats(-300.0, 300.0).map(lambda e: -(10.0**e)),
     st.sampled_from(_SPECIAL),
 )
+_EARLIER = b"earlier,output\n"
 _BARE = re.compile(r"^(math domain error|math range error|(float )?division by zero)$")
 
 
@@ -158,18 +162,26 @@ def _options(**names: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
 
 
 def _check(argv: list[str], inputs: tuple[str, ...]) -> None:
-    rc, out, err, seconds = _main(argv)
+    # made here, not by a fixture: hypothesis rejects function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        out_file = Path(tmp) / "earlier.csv"
+        out_file.write_bytes(_EARLIER)
+        rc, out, err, seconds = _main([*argv, "--out", str(out_file)])
+        written = out_file.read_bytes()
     assert seconds < 1.0, argv
     assert rc in (0, 2), (argv, rc, err)
+    assert out == "", argv
     if rc == 0:
-        assert err == "" and out, argv
-        for token in re.split(r"[\s,=()*^/]+", out):
+        text = written.decode()
+        assert err == "" and written != _EARLIER, argv
+        for token in re.split(r"[\s,=()*^/]+", text):
             try:
                 value = float(token)
             except ValueError:
                 continue
-            assert math.isfinite(value), (argv, out)
+            assert math.isfinite(value), (argv, text)
         return
+    assert written == _EARLIER, argv
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     message = lines[0][len("error: "):]
