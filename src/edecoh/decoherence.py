@@ -187,7 +187,8 @@ def w_total_intersecting(
     assembled: exact cross terms J_ab and I_ab, the principal-value I_aa
     and the full coincident kernel for the bb piece; slower, carries the
     I_aa quadrature error budget, and retains the O(ell/L1, L1/L2)
-    remainders that the closed branch drops.
+    remainders that the closed branch drops.  cfg reaches kappa only; the
+    numeric I_aa keeps its own tolerances.
     """
     if branch not in ("closed", "assembled"):
         raise ValueError(f"unknown branch: {branch!r}")
@@ -202,7 +203,7 @@ def w_total_intersecting(
         I_bb = segment_I_bb(geom)
     else:
         J_ab = segment_J_ab_closed(geom, kap.ell)
-        I_aa = segment_I_aa(geom, kap.ell, cfg, method="numeric")
+        I_aa = segment_I_aa(geom, kap.ell, method="numeric")
         I_ab = segment_I_ab(geom, method="exact")
         I_bb = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
     J = 2.0 * J_aa + J_bb + 4.0 * J_ab

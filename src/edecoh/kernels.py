@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
 
 from .base import (
     IntegrationResult,
@@ -66,9 +65,6 @@ from .base import (
     log_ratio,
     require_finite,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "IntersectingGeometry",
@@ -191,7 +187,10 @@ def segment_J_ab_closed(
     if asymptotic:
         return log_ratio((geom.L1,), (ell,))
     if not ell < 2.0 * geom.L1:
-        raise ValueError("the vertex excision half-width ell/(2v) must lie below T1")
+        raise ValueError(
+            f"ell = {ell:.12g} must lie below 2 L1 = {2.0 * geom.L1:.12g}: the vertex "
+            "excision half-width ell/(2v) must lie below T1 = L1/v"
+        )
     # the speed cancels: with d = ell/(2v) the ratio is the same in lengths
     h = 0.5 * ell
     return log_ratio((geom.L1 + h, geom.L2 + h), (ell, geom.L1 + geom.L2))
@@ -217,86 +216,26 @@ _I_NUMERIC_CFG = QuadratureConfig(
     max_subdivisions=2048,
     excision_sequence=tuple(0.5**k for k in range(1, 9)),
 )
+# the inner principal values, ten times tighter than the outer integral
+_I_INNER_CFG = replace(_I_NUMERIC_CFG, rel_tol=3e-6)
 
 # inner integrand evaluations one numeric I_aa may spend; the default V
 # geometry spends 1.3M
 _I_NUMERIC_MAX_EVALS = 20_000_000
 
 
-def _double_pv(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    poles: Callable[[np.ndarray], np.ndarray],
-    inner: tuple[float, float],
-    outer: tuple[float, float],
-    breakpoints: tuple[float, ...],
-    cfg: QuadratureConfig,
-    what: str,
-) -> float:
-    """Outer adaptive integral over t of the inner principal value over t'.
-
-    g(t, t') is the integrand and poles(t) the (nodes, poles) array of the
-    inner poles at outer nodes t.  Each refinement round of the outer
-    integral computes the inner PVs of all its nodes in one _pv_many batch.
-    Raises NonConvergenceError once the inner PVs have spent
-    _I_NUMERIC_MAX_EVALS evaluations, or when the outer error plus the mean
-    inner error over the outer range exceeds 1% of the value.
-    """
-    import numpy as np
-
-    from .quadrature import _on_boundary, _pv_many, integrate_1d
-
-    inner_cfg = replace(cfg, rel_tol=max(cfg.rel_tol * 0.1, 1e-9))
-    lo, hi = inner
-    # an outer node that lands exactly on a pole crossing puts the pole on
-    # the inner boundary; nudge that node's window rather than the physics
-    # (integrable in the outer variable)
-    shift = 4e-12 * (hi - lo)
-    inner_errs: list[float] = []
-    spent = 0
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        nonlocal spent
-        pole_sets = poles(t).tolist()
-        windows = [
-            (lo + shift, hi - shift) if any(_on_boundary(lo, hi, p) for p in ps) else (lo, hi)
-            for ps in pole_sets
-        ]
-        results = _pv_many(lambda x, owner: g(t[owner], x), windows, pole_sets, inner_cfg)
-        spent += sum(res.evaluations for res in results)
-        if spent > _I_NUMERIC_MAX_EVALS:
-            raise NonConvergenceError(
-                f"{what}: inner principal values took {spent} evaluations, over the "
-                f"budget of {_I_NUMERIC_MAX_EVALS}"
-            )
-        inner_errs.extend(res.error_estimate for res in results)
-        return np.array([res.value for res in results])
-
-    res = integrate_1d(integrand, *outer, cfg, breakpoints=breakpoints or None)
-    mean_inner = sum(inner_errs) / max(len(inner_errs), 1)
-    total_err = res.error_estimate + mean_inner * (outer[1] - outer[0])
-    if not math.isfinite(res.value):
-        raise NonConvergenceError(f"{what}: non-finite value")
-    if total_err > max(0.01 * abs(res.value), 1e-9):
-        raise NonConvergenceError(
-            f"{what}: error estimate {total_err:.2e} exceeds the oracle budget"
-        )
-    return res.value
-
-
-def segment_I_aa(
-    geom: IntersectingGeometry,
-    ell: float,
-    cfg: QuadratureConfig | None = None,
-    *,
-    method: str = "closed",
-) -> float:
+def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "closed") -> float:
     """Same-segment radiation kernel of the V geometry.
 
     closed: ln(ell v^2 sin^2(theta) / L1) + 2 (ln 2 - 1), the small-v form.
     numeric: principal-value double integral of
     [(t - t')^2 - v^2 sin^2(theta) (t + t')^2]^-1 over [c, T1]^2 with the
-    cutoff c = ell/v, which must lie below T1; for each outer t the inner
-    poles sit at t (1 -+ s)/(1 +- s) with s = v sin(theta).
+    cutoff c = ell/v, so ell must lie below L1; for each outer t the inner
+    poles sit at t (1 -+ s)/(1 +- s) with s = v sin(theta).  Each outer
+    refinement round computes the inner PVs of all its nodes in one batch.
+    Raises NonConvergenceError past _I_NUMERIC_MAX_EVALS inner evaluations,
+    or when the outer error plus the mean inner error over [c, T1] exceeds
+    1% of the value.
     """
     _require_ell(ell)
     if method == "closed":
@@ -306,26 +245,59 @@ def segment_I_aa(
         raise ValueError(f"unknown method: {method!r}")
     import numpy as np
 
+    from .quadrature import _on_boundary, _pv_many, integrate_1d
+
     s = geom.v * math.sin(geom.theta)
     if 1.0 - s == 1.0 + s:
         raise ValueError(
             f"v sin(theta) = {s:.3g} is too small for the two I_aa poles to be distinct"
         )
-    c = ell / geom.v
-    T1 = geom.T1
-    if not c < T1:
-        raise ValueError("the cutoff ell/v must lie below T1")
+    if not ell < geom.L1:
+        raise ValueError(
+            f"ell = {ell:.12g} must lie below L1 = {geom.L1:.12g}: the numeric I_aa "
+            "cuts off at flight time ell/v, inside T1 = L1/v"
+        )
+    c, T1 = ell / geom.v, geom.T1
+    # an outer node that lands exactly on a pole crossing puts the pole on
+    # the inner boundary; nudge that node's window rather than the physics
+    # (integrable in the outer variable)
+    shift = 4e-12 * (T1 - c)
+    inner_errs: list[float] = []
+    spent = 0
 
-    def g(t, tp):
-        return 1.0 / ((t - tp) ** 2 - s * s * (t + tp) ** 2)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        pole_sets = np.stack([t * (1.0 - s) / (1.0 + s), t * (1.0 + s) / (1.0 - s)], -1).tolist()
+        windows = [
+            (c + shift, T1 - shift) if any(_on_boundary(c, T1, p) for p in ps) else (c, T1)
+            for ps in pole_sets
+        ]
 
-    def poles(t):
-        return np.stack([t * (1.0 - s) / (1.0 + s), t * (1.0 + s) / (1.0 - s)], axis=-1)
+        def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            t_ = t[owner]
+            return 1.0 / ((t_ - x) ** 2 - s * s * (t_ + x) ** 2)
 
-    # pole-crossing locations in the outer variable
-    crossings = [c * (1.0 + s) / (1.0 - s), T1 * (1.0 - s) / (1.0 + s)]
-    bps = tuple(x for x in crossings if c < x < T1)
-    return _double_pv(g, poles, (c, T1), (c, T1), bps, cfg or _I_NUMERIC_CFG, "I_aa numeric")
+        results = _pv_many(g, windows, pole_sets, _I_INNER_CFG)
+        spent += sum(res.evaluations for res in results)
+        if spent > _I_NUMERIC_MAX_EVALS:
+            raise NonConvergenceError(
+                f"I_aa numeric: inner principal values took {spent} evaluations, over the "
+                f"budget of {_I_NUMERIC_MAX_EVALS}"
+            )
+        inner_errs.extend(res.error_estimate for res in results)
+        return np.array([res.value for res in results])
+
+    # the outer breakpoints are where a pole crosses c or T1
+    crossings = (c * (1.0 + s) / (1.0 - s), T1 * (1.0 - s) / (1.0 + s))
+    res = integrate_1d(integrand, c, T1, _I_NUMERIC_CFG, breakpoints=crossings)
+    total_err = res.error_estimate + sum(inner_errs) / max(len(inner_errs), 1) * (T1 - c)
+    if not math.isfinite(res.value):
+        raise NonConvergenceError("I_aa numeric: non-finite value")
+    if total_err > max(0.01 * abs(res.value), 1e-9):
+        raise NonConvergenceError(
+            f"I_aa numeric: error estimate {total_err:.2e} exceeds the oracle budget"
+        )
+    return res.value
 
 
 def _corner_G(u: float, c: float) -> float:

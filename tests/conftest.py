@@ -1,4 +1,14 @@
-"""Oracles shared by several test modules."""
+"""Oracles shared by several test modules.
+
+Both radiation kernels of the V geometry reduce to one integral:
+
+* I_ab's integrand [(t' - t)^2 - c^2]^-1 depends on u = t' - t alone, so
+  its double integral weights that function by the length of the diagonal
+  u inside the rectangle [0, T1] x [T1, T1 + T2] and takes one principal
+  value in u;
+* I_aa's inner principal value over t' is elementary by partial
+  fractions, which leaves an ordinary integral over t.
+"""
 
 from __future__ import annotations
 
@@ -7,31 +17,62 @@ import math
 import numpy as np
 import pytest
 
-from edecoh.kernels import _I_NUMERIC_CFG, IntersectingGeometry, _double_pv
+from edecoh.base import require_converged
+from edecoh.kernels import IntersectingGeometry
+from edecoh.quadrature import QuadratureConfig, integrate_1d, pv_integrate_1d
 
 
-def _I_ab_double_pv(geom: IntersectingGeometry) -> float:
-    """I_ab as the numeric double integral it is defined by.
+def _I_ab_pv_in_u(geom: IntersectingGeometry) -> float:
+    """I_ab as the principal value over u = t' - t of its defining integral.
 
-    Outer adaptive integral over t in [0, T1] of the inner principal value
-    over t' in [T1, T1 + T2] of [(t - t')^2 - c^2]^-1, c = 2 T1 v sin(theta);
-    the pole at t' = t + c enters the t' range once t is within c of the
-    vertex, so T1 - c is an outer breakpoint.  Runs at the 3e-5 outer
-    relative tolerance of the numeric I_aa, whose _double_pv it shares.
+    The diagonal t' - t = u crosses the rectangle t in [0, T1],
+    t' in [T1, T1 + T2] over the length min(u, T1, T2, T1 + T2 - u), so
+    I_ab = PV int_0^{T1 + T2} min(u, T1, T2, T1 + T2 - u)/((u - c)(u + c)) du
+    with c = 2 T1 v sin(theta); a pole past T1 + T2 is ignored.
     """
     T1, T2 = geom.T1, geom.T2
     c = 2.0 * T1 * geom.v * math.sin(geom.theta)
 
-    def g(t: np.ndarray, tp: np.ndarray) -> np.ndarray:
-        return 1.0 / ((t - tp) ** 2 - c * c)
+    def f(u: np.ndarray) -> np.ndarray:
+        return np.minimum(np.minimum(u, min(T1, T2)), T1 + T2 - u) / ((u - c) * (u + c))
 
-    def poles(t: np.ndarray) -> np.ndarray:
-        return (t + c)[:, None]
+    res = pv_integrate_1d(f, 0.0, T1 + T2, [c], QuadratureConfig(rel_tol=1e-11))
+    return require_converged(res, "I_ab oracle").value
 
-    bps = (T1 - c,) if 0.0 < T1 - c < T1 else ()
-    return _double_pv(g, poles, (T1, T1 + T2), (0.0, T1), bps, _I_NUMERIC_CFG, "I_ab oracle")
+
+def _I_aa_partial_fractions(geom: IntersectingGeometry, ell: float) -> float:
+    """I_aa as an outer integral over t of its exact inner principal value.
+
+    With s = v sin(theta), c = ell/v and the inner poles
+    p1,2 = t (1 -+ s)/(1 +- s), the inner PV over t' in [c, T1] is
+    -[ln|(T1 - p1)/(c - p1)| - ln|(T1 - p2)/(c - p2)|]/(4 s t).  It has
+    integrable log spikes where a pole crosses c or T1, which are the outer
+    breakpoints.
+    """
+    s = geom.v * math.sin(geom.theta)
+    c, T1 = ell / geom.v, geom.T1
+
+    def inner(t: np.ndarray) -> np.ndarray:
+        p1 = t * (1.0 - s) / (1.0 + s)
+        p2 = t * (1.0 + s) / (1.0 - s)
+        logs = np.log(np.abs((T1 - p1) / (c - p1))) - np.log(np.abs((T1 - p2) / (c - p2)))
+        return -logs / (4.0 * s * t)
+
+    res = integrate_1d(
+        inner,
+        c,
+        T1,
+        QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15),
+        breakpoints=(c * (1.0 + s) / (1.0 - s), T1 * (1.0 - s) / (1.0 + s)),
+    )
+    return require_converged(res, "I_aa oracle").value
 
 
 @pytest.fixture
-def I_ab_double_pv():
-    return _I_ab_double_pv
+def I_ab_pv_in_u():
+    return _I_ab_pv_in_u
+
+
+@pytest.fixture
+def I_aa_partial_fractions():
+    return _I_aa_partial_fractions

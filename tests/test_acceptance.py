@@ -177,12 +177,12 @@ def test_criterion_06_intersecting_cancellation():
     )
 
 
-def test_criterion_07_segment_integral_oracles(I_ab_double_pv):
+def test_criterion_07_segment_integral_oracles(I_ab_pv_in_u):
     t0 = time.perf_counter()
     geom_ab = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 4, v=0.01)
     geom_aa = IntersectingGeometry(L1=1.0, L2=100.0, theta=math.pi / 6, v=0.01)
     ell_aa = 1e-2
-    rel_ab = abs(I_ab_double_pv(geom_ab) - segment_I_ab(geom_ab)) / abs(segment_I_ab(geom_ab))
+    rel_ab = abs(I_ab_pv_in_u(geom_ab) - segment_I_ab(geom_ab)) / abs(segment_I_ab(geom_ab))
     rel_aa = abs(
         segment_I_aa(geom_aa, ell_aa, method="numeric") - segment_I_aa(geom_aa, ell_aa)
     ) / abs(segment_I_aa(geom_aa, ell_aa))

@@ -249,6 +249,30 @@ class TestIntersectCommand:
         # the sweep's x100 factor takes the default ell = 1 to L1 = 100
         assert "ell = 100" in err and "L1 = 100" in err
 
+    @pytest.mark.parametrize(
+        "radius, bound",
+        [("60", "below L1 = 100"), ("120", "below 2 L1 = 200")],
+        ids=["I_aa-cutoff", "J_ab-excision"],
+    )
+    def test_assembled_packet_too_large_names_ell_and_L1(self, capsys, radius, bound):
+        # the sphere's ell = 2 R: 120 reaches I_aa's ell < L1, 240 the
+        # earlier J_ab check ell < 2 L1
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--radius", radius])
+        assert rc == 2
+        assert out == ""
+        assert f"ell = {2 * int(radius)} must lie {bound}" in err
+
+    def test_assembled_rel_tol_leaves_I_aa_alone(self, capsys):
+        # --rel-tol reaches cylinder kappa only; the numeric I_aa keeps its
+        # own tolerances, so a sphere packet prints what the default prints
+        rc, default, _ = _run(capsys, ["intersect", "--branch", "assembled"])
+        assert rc == 0
+        start = time.perf_counter()
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--rel-tol", "1e-6"])
+        assert (rc, err) == (0, "")
+        assert out == default
+        assert time.perf_counter() - start < 10.0
+
     def test_assembled_branch_agrees_with_closed(self, capsys):
         rc_c, out_c, _ = _run(capsys, ["intersect"])
         rc_a, out_a, _ = _run(capsys, ["intersect", "--branch", "assembled"])

@@ -3,10 +3,11 @@
 Every closed form is held against an independently written quadrature of
 its defining integral: the coincident kernel against its principal-value
 integral, the cross static kernel against the elementary double integral
-over the two excised segments, and the radiation kernels against nested
-principal-value quadrature in their small-speed regime.  The exact
-four-corner I_ab is held against that quadrature and against a 50-digit
-mpmath evaluation of the same corners.
+over the two excised segments, and the radiation kernels against
+one-integral oracles (tests/conftest.py) in their small-speed regime.  The
+exact four-corner I_ab is held against its principal value in u = t' - t
+and against a 50-digit mpmath evaluation of the same corners; the I_aa
+oracle is held against a 50-digit mpmath value of its dilogarithm form.
 """
 
 from __future__ import annotations
@@ -55,6 +56,25 @@ def _I_ab_mpmath(mpmath, geom: IntersectingGeometry):
             return ((u - c) * mpmath.log(abs(u - c)) - (u + c) * mpmath.log(u + c)) / (2 * c)
 
         return float(G(T1 + T2) - G(T2) - G(T1) + G(mpmath.mpf(0)))
+
+
+def _I_aa_mpmath(mpmath, geom: IntersectingGeometry, ell: float):
+    """I_aa by the real dilogarithm, at 50 digits.
+
+    With s = v sin(theta), a = (1 - s)/(1 + s) and r = L1/ell,
+    I_aa = [2 Li2(a) - 2 Li2(1/a) + Li2(r/a) - Li2(a r) + Li2(1/(a r))
+    - Li2(a/r)] / (4 s), real parts throughout (Lewin, Polylogarithms and
+    Associated Functions, 1981).
+    """
+    with mpmath.workdps(50):
+        s = mpmath.mpf(geom.v) * mpmath.sin(mpmath.mpf(geom.theta))
+        a, r = (1 - s) / (1 + s), mpmath.mpf(geom.L1) / mpmath.mpf(ell)
+
+        def Li2(x):
+            return mpmath.re(mpmath.polylog(2, x))
+
+        total = 2 * Li2(a) - 2 * Li2(1 / a) + Li2(r / a) - Li2(a * r) + Li2(1 / (a * r)) - Li2(a / r)
+        return float(total / (4 * s))
 
 
 class TestInputs:
@@ -199,7 +219,7 @@ class TestStaticKernels:
     def test_J_ab_excision_parameter(self):
         # the vertex excision half-width ell/(2v) must lie below T1
         geom = _geom()
-        with pytest.raises(ValueError, match="below T1"):
+        with pytest.raises(ValueError, match=r"ell = 4 must lie below 2 L1 = 2\b"):
             segment_J_ab_closed(geom, 4.0 * geom.L1)
 
     def test_J_straight_values(self):
@@ -250,12 +270,17 @@ class TestRadiationKernels:
         exact = segment_I_ab(geom, method="exact")
         assert abs(closed - exact) <= 0.02 * abs(exact)
 
-    def test_I_ab_exact_vs_double_pv(self, I_ab_double_pv):
-        # the four-corner sum against the numeric double integral, within
-        # the latter's 3e-5 relative tolerance
-        geom = _geom(theta=math.pi / 4, v=0.01)
-        exact = segment_I_ab(geom, method="exact")
-        assert math.isclose(exact, I_ab_double_pv(geom), rel_tol=3e-5)
+    def test_I_ab_exact_vs_pv_in_u(self, I_ab_pv_in_u):
+        # the four-corner sum against the principal value in u = t' - t
+        for L1, L2, theta, v in (
+            (1.0, 100.0, math.pi / 4, 0.01),
+            (1.0, 40.0, 0.5, 1e-5),
+            (3.0, 4.0, 1.4, 0.1),
+            (1.0, 100.0, math.pi / 6, 1e-3),
+        ):
+            geom = _geom(L1=L1, L2=L2, theta=theta, v=v)
+            exact = segment_I_ab(geom, method="exact")
+            assert math.isclose(exact, I_ab_pv_in_u(geom), rel_tol=1e-12), (L1, L2, theta, v)
 
     @pytest.mark.parametrize(
         "L1, L2, theta, v",
@@ -300,13 +325,26 @@ class TestRadiationKernels:
         bracket = 1.0 + (L1 / L2) ** 2 - (L1 / (L1 + L2)) ** 2
         assert scaled == pytest.approx(-2.0 / 3.0 * bracket, abs=2.0 * s * s)
 
-    def test_I_aa_numeric_vs_closed_small_geometry(self):
-        # cheaper scale separation than the headline regime; the closed
-        # form carries O(ell/L1) cutoff corrections, so 2% here
-        geom = _geom(theta=math.pi / 6, v=0.01)
-        closed = segment_I_aa(geom, 1e-2)
-        numeric = segment_I_aa(geom, 1e-2, method="numeric")
-        assert abs(closed - numeric) <= 0.02 * abs(numeric)
+    @pytest.mark.parametrize(
+        "L1, ell, theta, v",
+        [(1.0, 1e-2, math.pi / 6, 0.01), (100.0, 1.0, 0.5, 0.01), (1.0, 0.05, 0.5, 0.1),
+         (10.0, 0.5, 1.1, 0.1)],
+    )
+    def test_I_aa_partial_fraction_oracle_vs_dilogarithm(
+        self, I_aa_partial_fractions, L1, ell, theta, v
+    ):
+        # s = v sin(theta) from 0.0048 to 0.089, L1/ell from 20 to 100
+        mpmath = pytest.importorskip("mpmath")
+        geom = _geom(L1=L1, L2=100.0 * L1, theta=theta, v=v)
+        oracle = I_aa_partial_fractions(geom, ell)
+        assert math.isclose(oracle, _I_aa_mpmath(mpmath, geom, ell), rel_tol=1e-12)
+
+    def test_I_aa_numeric_vs_partial_fraction_oracle(self, I_aa_partial_fractions):
+        # the numeric route at the CLI's default geometry and packet, within
+        # its own outer relative tolerance of 3e-5
+        geom = _geom(L1=100.0, L2=1e4, theta=0.5, v=0.01)
+        numeric = segment_I_aa(geom, 1.0, method="numeric")
+        assert math.isclose(numeric, I_aa_partial_fractions(geom, 1.0), rel_tol=3e-5)
 
     def test_unknown_method(self):
         geom = _geom(v=0.01)
@@ -321,7 +359,7 @@ class TestRadiationKernels:
     def test_I_aa_cutoff_validation(self):
         # the cutoff ell/v must lie below T1
         geom = _geom(v=0.01)
-        with pytest.raises(ValueError, match="below T1"):
+        with pytest.raises(ValueError, match=r"ell = 2 must lie below L1 = 1\b"):
             segment_I_aa(geom, 2.0 * geom.L1, method="numeric")
 
     def test_I_bb_log_argument_one(self):
