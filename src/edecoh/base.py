@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -62,49 +62,23 @@ def require_finite(fields: Mapping[str, float]) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def _default_excision_sequence() -> tuple[float, ...]:
-    # geometric, ratio 1/2, 12 terms
-    return tuple(0.5 ** k for k in range(1, 13))
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by all integration routines.
+    """Tolerances shared by all integration routines.
 
-    excision_sequence entries are dimensionless shrink factors: for each pole
-    they are rescaled so that the first (largest) entry maps to half of the
-    pole's safe half-width (distance to the nearest boundary or to the
-    midpoint toward a neighbouring pole).  Only the ratios matter.
     rel_tol may not go below 4 eps, the floor the pieces of a principal
     value already get.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 4096
-    excision_sequence: tuple[float, ...] = field(
-        default_factory=_default_excision_sequence
-    )
 
     def __post_init__(self) -> None:
-        require_finite(
-            {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol,
-             "max_subdivisions": self.max_subdivisions}
-        )
+        require_finite({"rel_tol": self.rel_tol, "abs_tol": self.abs_tol})
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.rel_tol < 4.0 * _EPS:
             raise ValueError(f"rel_tol must be at least 4 eps = {4.0 * _EPS:.3g}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        seq = tuple(float(e) for e in self.excision_sequence)
-        if len(seq) < 3:
-            raise ValueError("excision_sequence needs at least 3 entries")
-        if not all(0.0 < e < math.inf for e in seq):
-            raise ValueError("excision_sequence entries must be finite and > 0")
-        if any(b >= a for a, b in zip(seq, seq[1:])):
-            raise ValueError("excision_sequence must be strictly decreasing")
-        object.__setattr__(self, "excision_sequence", seq)
 
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))

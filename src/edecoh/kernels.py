@@ -56,7 +56,7 @@ wavepacket cutoff enters, its size ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .base import (
     IntegrationResult,
@@ -210,14 +210,9 @@ def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
 # boundary.  It validates a closed form that itself carries O(v ln v)
 # truncation, so the outer tolerance is set for ~1e-4 relative accuracy;
 # tightening it multiplies the inner work, which _I_NUMERIC_MAX_EVALS caps.
-_I_NUMERIC_CFG = QuadratureConfig(
-    rel_tol=3e-5,
-    abs_tol=1e-8,
-    max_subdivisions=2048,
-    excision_sequence=tuple(0.5**k for k in range(1, 9)),
-)
+_I_NUMERIC_CFG = QuadratureConfig(rel_tol=3e-5, abs_tol=1e-8)
 # the inner principal values, ten times tighter than the outer integral
-_I_INNER_CFG = replace(_I_NUMERIC_CFG, rel_tol=3e-6)
+_I_INNER_CFG = QuadratureConfig(rel_tol=3e-6, abs_tol=1e-8)
 
 # inner integrand evaluations one numeric I_aa may spend; the default V
 # geometry spends 1.3M
@@ -277,7 +272,7 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
             t_ = t[owner]
             return 1.0 / ((t_ - x) ** 2 - s * s * (t_ + x) ** 2)
 
-        results = _pv_many(g, windows, pole_sets, _I_INNER_CFG)
+        results = _pv_many(g, windows, pole_sets, _I_INNER_CFG, 8)
         spent += sum(res.evaluations for res in results)
         if spent > _I_NUMERIC_MAX_EVALS:
             raise NonConvergenceError(

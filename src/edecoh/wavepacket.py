@@ -43,6 +43,12 @@ log-moment series of the triangular axial density (E[w^2k] =
 
     F = ln(R/ell) + ln b + 1/2 sum_k (-1)^(k+1) x^k / (k (k + 1) (2k + 1)).
 
+For beta >> b, where beta^2 overflows past 1.3e154, F is the same bracket
+written in q = b / beta with ln(b^2 + beta^2) = 2 ln beta + ln(1 + q^2):
+
+    F = ln(R beta/ell) + 1/2 q^2 ln q^2 + 1/2 (1 - q^2) ln(1 + q^2)
+        + 2 q arctan(beta/b) - 3/2.
+
 A brute-force Monte-Carlo estimate of the six-dimensional average serves as
 the independent oracle for the quadrature path.
 """
@@ -53,7 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .base import IntegrationResult, QuadratureConfig, require_converged, require_finite
+from .base import IntegrationResult, QuadratureConfig, log_ratio, require_converged, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,6 +113,8 @@ class UniformCylinder:
             raise ValueError("radius is too large: the diameter 2 radius overflows")
         if not self.length > 0.0:
             raise ValueError("length must be positive")
+        if not 0.0 < self.length / self.radius < math.inf:
+            raise ValueError("the aspect ratio L/R = length/radius leaves the float range")
 
     @property
     def beta(self) -> float:
@@ -141,6 +149,10 @@ def characteristic_length(wp: Wavepacket) -> float:
 # reaches the series, and those run the closed form alone
 _SERIES_X = 2e-3
 _SERIES_BETA = 2.0 * math.sqrt(_SERIES_X)
+# from here on b <= 2 << beta in a unit-radius disk, and F is written in
+# q = b / beta (module docstring): no beta^2 is formed, and the 2 ln beta
+# of ln(b^2 + beta^2) joins ln(R/ell) instead of cancelling against it
+_ROD_BETA = 1e3
 
 
 def cylinder_F(b2, beta: float, r_over_ell: float):
@@ -162,6 +174,19 @@ def cylinder_F(b2, beta: float, r_over_ell: float):
         raise DomainError("squared transverse separation is negative")
     b2 = np.maximum(b2, 0.0)
     b = np.sqrt(b2)
+    if beta >= _ROD_BETA:
+        q = b / beta
+        t = q * q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ln_t = np.where(t > 0.0, t * np.log(t), 0.0)
+        out = (
+            log_ratio((r_over_ell, beta))
+            + 0.5 * t_ln_t
+            + 0.5 * (1.0 - t) * np.log1p(t)
+            + 2.0 * q * np.arctan2(beta, b)
+            - 1.5
+        )
+        return out if out.ndim else float(out)
     beta2 = beta * beta
     with np.errstate(divide="ignore", invalid="ignore"):
         # 0 * log(0) guarded: the b = 0 limit of the bracket is
@@ -191,19 +216,22 @@ _PHI_BREAKPOINTS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.5)
 # default tolerance for the three-dimensional cylinder quadrature; tight
 # enough that the Monte-Carlo oracle error dominates any comparison, loose
 # enough to keep aspect-ratio sweeps fast
-_CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9, max_subdivisions=4096)
+_CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9)
 
 
 def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     import numpy as np
 
-    from .quadrature import _adapt_many, _tolerance, integrate_nd
+    from .quadrature import _MAX_SPLITS, _adapt_many, _tolerance, integrate_nd
 
     r_over_ell = 1.0 / max(2.0, beta)
     phi_mesh = (0.0, *_PHI_BREAKPOINTS, math.pi)
-    phi_cfg = (_tolerance(cfg.rel_tol * 1e-2, cfg.abs_tol * 1e-2), cfg.max_subdivisions)
+    phi_cfg = (_tolerance(cfg.rel_tol * 1e-2, cfg.abs_tol * 1e-2), _MAX_SPLITS)
     evals = [0]
     ok = [True]
+    # summed errors of the azimuthal integrals, each weighted as its value
+    # enters the outer integrand, and their count
+    phi_err = [0.0, 0]
 
     def transverse(r1, r2):
         # inner azimuthal integrals of all radius pairs (r1, r2[i]), refined
@@ -220,13 +248,17 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
         )
         evals[0] += sum(res.evaluations for res in results)
         ok[0] = ok[0] and all(res.converged for res in results)
+        phi_err[0] += sum(2.0 * res.error_estimate * r1 * r2i for res, r2i in zip(results, r2))
+        phi_err[1] += r2.size
         return np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, r2)])
 
     outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], cfg)
     scale = 4.0 / math.pi
+    # as integrate_nd does for its inner level: the mean azimuthal error
+    # times the area of the unit (rho, rho') square
     return IntegrationResult(
         scale * outer.value,
-        scale * outer.error_estimate,
+        scale * (outer.error_estimate + phi_err[0] / phi_err[1]),
         outer.evaluations + evals[0],
         outer.converged and ok[0],
     )

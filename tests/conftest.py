@@ -1,5 +1,8 @@
 """Oracles shared by several test modules.
 
+The cylinder shape constant is averaged over the axial separation first,
+the reverse of the order the package uses (see _kappa_z_first).
+
 Both radiation kernels of the V geometry reduce to one integral:
 
 * I_ab's integrand [(t' - t)^2 - c^2]^-1 depends on u = t' - t alone, so
@@ -68,6 +71,47 @@ def _I_aa_partial_fractions(geom: IntersectingGeometry, ell: float) -> float:
     return require_converged(res, "I_aa oracle").value
 
 
+def _kappa_z_first(beta: float) -> float:
+    """Cylinder kappa (R = 1, L = beta) by the z-first reduction, with scipy.
+
+    The axial separation w of two uniform points in [0, beta] has the
+    density (2/beta)(1 - w/beta); the transverse separation b of two
+    uniform points in the unit disk has Solomon's line-picking density
+    P(b) = (4b/pi)[arccos(b/2) - (b/2) sqrt(1 - b^2/4)].  With
+    H(w) = int_0^2 P(b) 1/2 ln(b^2 + w^2) db, the mean log distance between
+    two coaxial unit disks at axial offset w,
+    kappa = 2 [int_0^beta (2/beta)(1 - w/beta) H(w) dw - ln ell] with
+    ell = max(2, beta).  It shares nothing with cylinder_F's closed form,
+    its series or the package's quadrature.  The breakpoints are where the
+    log kinks: b = w inside H and w = 2 outside.
+    """
+    from scipy.integrate import quad
+
+    def P(b: float) -> float:
+        return (4.0 * b / math.pi) * (math.acos(0.5 * b) - 0.5 * b * math.sqrt(1.0 - 0.25 * b * b))
+
+    def H(w: float) -> float:
+        value, _ = quad(
+            lambda b: P(b) * 0.5 * math.log(b * b + w * w),
+            0.0,
+            2.0,
+            points=[w] if 0.0 < w < 2.0 else None,
+            epsrel=1e-12,
+            epsabs=1e-14,
+        )
+        return value
+
+    mean_log, _ = quad(
+        lambda w: (2.0 / beta) * (1.0 - w / beta) * H(w),
+        0.0,
+        beta,
+        points=[2.0] if beta > 2.0 else None,
+        epsrel=1e-12,
+        epsabs=1e-14,
+    )
+    return 2.0 * (mean_log - math.log(max(2.0, beta)))
+
+
 @pytest.fixture
 def I_ab_pv_in_u():
     return _I_ab_pv_in_u
@@ -76,3 +120,8 @@ def I_ab_pv_in_u():
 @pytest.fixture
 def I_aa_partial_fractions():
     return _I_aa_partial_fractions
+
+
+@pytest.fixture
+def kappa_z_first():
+    return _kappa_z_first

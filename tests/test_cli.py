@@ -113,6 +113,18 @@ class TestKappaSweep:
         for beta, kap, err in rows:
             assert abs(kap - flat_disk) <= err + 0.02 * beta, beta
 
+    def test_huge_beta_grid_ends_at_the_thin_rod_limit(self, capsys):
+        # beta^2 overflows past 1.3e154; kappa must still reach -3, not 0
+        rc, out, _ = _run(
+            capsys,
+            ["kappa-sweep", "--beta-min", "1e200", "--beta-max", "1e300", "--steps", "2"],
+        )
+        assert rc == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert [beta for beta, _, _ in rows] == [1e200, 1e300]
+        for _, kap, err in rows:
+            assert abs(kap + 3.0) <= err
+
     def test_nonconvergence_exits_3_with_partial_output(self, capsys, tmp_path, monkeypatch):
         def explode(wp, cfg=None):
             raise NonConvergenceError("kappa quadrature stalled")

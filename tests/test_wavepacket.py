@@ -44,6 +44,10 @@ class TestShapes:
             UniformCylinder(1.0, 0.0)
         with pytest.raises(ValueError):
             UniformCylinder(-2.0, 1.0)
+        # each length is fine, their ratio overflows or underflows
+        for radius, length in ((1e-300, 1e300), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="L/R"):
+                UniformCylinder(radius, length)
         with pytest.raises(TypeError):
             characteristic_length("ball")  # type: ignore[arg-type]
 
@@ -213,7 +217,7 @@ class TestKappa:
     def test_cusp_at_aspect_ratio_two(self):
         # kappa is continuous across beta = 2 but the slope jumps by about
         # -1 because ell switches from 2R to L there
-        cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=4096)
+        cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10)
         k = {d: kappa(UniformCylinder(1.0, 2.0 + d), cfg).kappa for d in (-0.1, -0.05, 0.0, 0.05, 0.1)}
         assert abs(k[0.05] - k[-0.05]) < 0.08
         slope_left = (k[0.0] - k[-0.1]) / 0.1
@@ -245,13 +249,42 @@ class TestKappa:
         gap = kappa(UniformCylinder(1.0, 0.01)).kappa - (-0.5 - 2.0 * math.log(2.0))
         assert 0.0 < gap < 2.5e-4
 
-    @pytest.mark.parametrize("beta", [1e3, 1e5])
+    @pytest.mark.parametrize("beta", [1e3, 1e5, 1e20, 1e100, 1e153, 1e200, 1e300])
     def test_thin_rod_limit(self, beta):
         # beta -> inf: kappa = -3 + 256 / (45 beta) + O(ln beta / beta^2),
-        # from the mean pair distance 128 R / (45 pi) in a disk (Solomon 1978)
+        # from the mean pair distance 128 R / (45 pi) in a disk (Solomon 1978).
+        # Past beta = 1.3e154 beta^2 overflows, so the bound divides twice
         res = kappa(UniformCylinder(1.0, beta))
         gap = res.kappa - (-3.0 + 256.0 / (45.0 * beta))
-        assert abs(gap) <= 3.0 * math.log(beta) / beta**2 + res.error_estimate
+        assert abs(gap) <= 3.0 * math.log(beta) / beta / beta + res.error_estimate
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 20.0, 1000.0])
+    def test_matches_the_z_first_oracle(self, beta, kappa_z_first):
+        # the oracle averages over the axial separation first, with scipy;
+        # measured |difference| 3.5e-9 to 1.6e-8 against estimates of
+        # 4.9e-8 to 3.3e-7
+        res = kappa(UniformCylinder(1.0, beta))
+        assert abs(res.kappa - kappa_z_first(beta)) <= res.error_estimate
+
+    def test_error_includes_the_azimuthal_integrals(self, monkeypatch):
+        # the reported error is (4/pi) times the outer estimate plus the mean
+        # of the weighted azimuthal errors; at beta = 0.1 the outer part is
+        # 1.2362e-7 and the azimuthal term adds 2.83e-9 to it
+        from edecoh import quadrature
+
+        outer = []
+        integrate_nd = quadrature.integrate_nd
+
+        def recording(*args):
+            outer.append(integrate_nd(*args))
+            return outer[-1]
+
+        monkeypatch.setattr(quadrature, "integrate_nd", recording)
+        res = kappa(UniformCylinder(1.0, 0.1))
+        (top,) = outer
+        outer_part = 4.0 / math.pi * top.error_estimate
+        assert outer_part == pytest.approx(1.2362390689695312e-07, rel=1e-6)
+        assert res.error_estimate - outer_part == pytest.approx(2.83e-9, rel=1e-2)
 
     def test_seed_determinism(self):
         a = kappa_bruteforce_oracle(UniformSphere(1.0), samples=50_000, seed=9)
