@@ -21,7 +21,6 @@ _EXPORTS = {
     "integrate_1d": "quadrature",
     "integrate_nd": "quadrature",
     "pv_integrate_1d": "quadrature",
-    "KappaResult": "wavepacket",
     "UniformCylinder": "wavepacket",
     "UniformSphere": "wavepacket",
     "Wavepacket": "wavepacket",

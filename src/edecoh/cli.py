@@ -204,7 +204,7 @@ def cmd_kappa_sweep(args: argparse.Namespace, out: _OutStream) -> int:
         return 0
     for beta in betas:
         res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
-        out.line(f"{_fmt(beta)},{_fmt(res.kappa)},{_fmt(res.error_estimate)}")
+        out.line(f"{_fmt(beta)},{_fmt(res.value)},{_fmt(res.error_estimate)}")
     return 0
 
 
@@ -215,7 +215,7 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
         w_total_parallel,
         w_vacuum_parallel,
     )
-    from .wavepacket import kappa
+    from .wavepacket import characteristic_length, kappa
 
     geom = ParallelGeometry(r0=args.r0, T=args.T, v=args.v)
     wp = _wavepacket(args)
@@ -228,11 +228,12 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
     if args.sweep is None:
         _print_result(out, w_total_parallel(geom, wp, cfg))
         return 0
-    kap = kappa(wp, cfg)
+    kap = kappa(wp, cfg).value
+    ell = characteristic_length(wp)
     out.line("T,w_vacuum,w_photon,w_total")
     for T in grid:
         g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
-        wv = w_vacuum_parallel(g, kap)
+        wv = w_vacuum_parallel(g, kap, ell)
         wg = w_photon_parallel(g)
         out.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
     return 0
@@ -384,19 +385,19 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     checks.append(
         (
             "sphere shape constant",
-            exact.kappa == -1.5 and exact.error_estimate == 0.0,
-            f"kappa = {_fmt(exact.kappa)}",
+            exact.value == -1.5 and exact.error_estimate == 0.0,
+            f"kappa = {_fmt(exact.value)}",
         )
     )
 
     numeric = kappa_numeric(UniformSphere(radius=1.0), cfg)
-    diff = abs(numeric.kappa + 1.5)
+    diff = abs(numeric.value + 1.5)
     checks.append(
         ("sphere reduced quadrature", diff <= 1e-6, f"|kappa + 3/2| = {diff:.3g}")
     )
 
     mc = kappa_bruteforce_oracle(UniformSphere(radius=1.0), samples=1_000_000, seed=args.seed)
-    pull = abs(mc.kappa + 1.5) / mc.error_estimate
+    pull = abs(mc.value + 1.5) / mc.error_estimate
     checks.append(
         (
             "sphere Monte Carlo oracle",
@@ -409,12 +410,12 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
         wp = UniformCylinder(radius=1.0, length=beta)
         quad = kappa(wp, cfg)
         mc = kappa_bruteforce_oracle(wp, samples=400_000, seed=args.seed)
-        pull = abs(quad.kappa - mc.kappa) / mc.error_estimate
+        pull = abs(quad.value - mc.value) / mc.error_estimate
         checks.append(
             (
                 f"cylinder beta = {beta:g} vs Monte Carlo",
                 pull <= 4.0,
-                f"quad {quad.kappa:.6f} vs MC {mc.kappa:.6f} ({pull:.2f} sigma)",
+                f"quad {quad.value:.6f} vs MC {mc.value:.6f} ({pull:.2f} sigma)",
             )
         )
     return checks

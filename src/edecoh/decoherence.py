@@ -51,7 +51,7 @@ from .kernels import (
     segment_J_straight,
 )
 from .base import QuadratureConfig, log_ratio, require_finite, split_product
-from .wavepacket import KappaResult, Wavepacket, characteristic_length, kappa
+from .wavepacket import Wavepacket, characteristic_length, kappa
 
 __all__ = [
     "ALPHA_FS",
@@ -138,10 +138,11 @@ class ValidityInput:
         return self.energy > 0.05 * _ELECTRON_MASS_EV
 
 
-def w_vacuum_parallel(geom: ParallelGeometry, kap: KappaResult) -> float:
-    """Vacuum exponent of the parallel geometry (rest-frame flight time)."""
+def w_vacuum_parallel(geom: ParallelGeometry, kappa: float, ell: float) -> float:
+    """Vacuum exponent of the parallel geometry (rest-frame flight time)
+    for a packet of shape constant kappa and size ell."""
     a = ALPHA_FS / math.pi
-    return a * (2.0 - kap.kappa + 2.0 * log_ratio((geom.T,), (kap.ell,)))
+    return a * (2.0 - kappa + 2.0 * log_ratio((geom.T,), (ell,)))
 
 
 def w_photon_parallel(geom: ParallelGeometry) -> float:
@@ -165,11 +166,11 @@ def w_total_parallel(
     plateau (alpha/pi) [2 ln(r0/ell) - kappa].
     """
     notes = check_regime(geom, wp)
-    kap = kappa(wp, cfg)
-    wv = w_vacuum_parallel(geom, kap)
+    kap = kappa(wp, cfg).value
+    wv = w_vacuum_parallel(geom, kap, characteristic_length(wp))
     K = kernel_K_closed(geom.T, geom.r0)
     wg = ALPHA_FS / math.pi * K
-    return _result(wv, wg, {"kappa": kap.kappa, "K": K}, notes)
+    return _result(wv, wg, {"kappa": kap, "K": K}, notes)
 
 
 def w_total_intersecting(
@@ -193,24 +194,25 @@ def w_total_intersecting(
     if branch not in ("closed", "assembled"):
         raise ValueError(f"unknown branch: {branch!r}")
     notes = check_regime(geom, wp)
-    kap = kappa(wp, cfg)
-    J_aa = segment_J_straight(geom.L1, kap.ell, geom.v, kap.kappa)
-    J_bb = segment_J_straight(geom.L2, kap.ell, geom.v, kap.kappa)
+    kap = kappa(wp, cfg).value
+    ell = characteristic_length(wp)
+    J_aa = segment_J_straight(geom.L1, ell, geom.v, kap)
+    J_bb = segment_J_straight(geom.L2, ell, geom.v, kap)
     if branch == "closed":
-        J_ab = segment_J_ab_closed(geom, kap.ell, asymptotic=True)
-        I_aa = segment_I_aa(geom, kap.ell)
+        J_ab = segment_J_ab_closed(geom, ell, asymptotic=True)
+        I_aa = segment_I_aa(geom, ell)
         I_ab = segment_I_ab(geom)
         I_bb = segment_I_bb(geom)
     else:
-        J_ab = segment_J_ab_closed(geom, kap.ell)
-        I_aa = segment_I_aa(geom, kap.ell, method="numeric")
+        J_ab = segment_J_ab_closed(geom, ell)
+        I_aa = segment_I_aa(geom, ell, method="numeric")
         I_ab = segment_I_ab(geom, method="exact")
         I_bb = kernel_K_closed(geom.T2, 2.0 * geom.L1 * math.sin(geom.theta))
     J = 2.0 * J_aa + J_bb + 4.0 * J_ab
     I = 2.0 * I_aa + I_bb + 4.0 * I_ab
     half_a = 0.5 * ALPHA_FS / math.pi
     breakdown = {
-        "kappa": kap.kappa,
+        "kappa": kap,
         "J_aa": J_aa,
         "J_bb": J_bb,
         "J_ab": J_ab,

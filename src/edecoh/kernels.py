@@ -286,8 +286,6 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
     crossings = (c * (1.0 + s) / (1.0 - s), T1 * (1.0 - s) / (1.0 + s))
     res = integrate_1d(integrand, c, T1, _I_NUMERIC_CFG, breakpoints=crossings)
     total_err = res.error_estimate + sum(inner_errs) / max(len(inner_errs), 1) * (T1 - c)
-    if not math.isfinite(res.value):
-        raise NonConvergenceError("I_aa numeric: non-finite value")
     if total_err > max(0.01 * abs(res.value), 1e-9):
         raise NonConvergenceError(
             f"I_aa numeric: error estimate {total_err:.2e} exceeds the oracle budget"

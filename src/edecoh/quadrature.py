@@ -25,10 +25,12 @@ the inner principal values of one outer refinement round.
 Two-dimensional integrals are iterated one-dimensional integrals.
 
 Every integrand follows one contract: it takes a numpy array of abscissae
-and returns an array of the same shape; anything else raises ValueError,
-and an exception the integrand raises propagates.  Non-finite integrand
-values at isolated nodes are treated as zero (integrable endpoint
-singularities).
+and returns a finite array of the same shape.  A value of another shape, or
+a NaN or infinity at any node, raises ValueError naming it; an exception
+the integrand raises propagates, and no floating-point warning it gives is
+silenced.  Gauss-Kronrod nodes never touch a panel's edges, so an
+integrable singularity placed on a mesh edge or breakpoint is never
+evaluated.
 """
 
 from __future__ import annotations
@@ -64,27 +66,29 @@ __all__ = [
 ]
 
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1].  The 7-point Gauss rule is
-# embedded at the odd-index nodes.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1], to the digits of
+# QUADPACK's dqk15 (Piessens et al., 1983): the positive Kronrod nodes and
+# their weights from the outermost inwards, and the weights of the 7-point
+# Gauss rule, which is embedded at the odd-index nodes
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG7 = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_XK = np.array([*(-x for x in _XGK[:-1]), *reversed(_XGK)])
+_WK = np.array([*_WGK[:-1], *reversed(_WGK)])
+_WG = np.array([*_WG7[:-1], *reversed(_WG7)])
 
 
 # the split budget of every adaptive integral: a hard integrand ends with its
@@ -98,16 +102,20 @@ _MAX_SPLITS = 2048
 def _values(
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray, owner: np.ndarray
 ) -> np.ndarray:
-    """evaluate(x, owner) under the integrand contract, non-finite values set to 0."""
-    with np.errstate(all="ignore"):
-        y = np.asarray(evaluate(x, owner), dtype=float)
+    """evaluate(x, owner), held to the integrand contract."""
+    y = np.asarray(evaluate(x, owner), dtype=float)
     if y.shape != x.shape:
         raise ValueError(
             f"an integrand must return an array of its abscissae's shape {x.shape}, "
             f"not {y.shape}"
         )
-    # isolated non-finite node values (integrable singularities) -> 0
-    return np.where(np.isfinite(y), y, 0.0)
+    finite = np.isfinite(y)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(
+            f"an integrand must return finite values, not {float(y[j])!r} at x = {float(x[j])!r}"
+        )
+    return y
 
 
 def _tolerance(rel_tol: float, abs_tol: float) -> Callable[[float], float]:
@@ -129,8 +137,7 @@ def _adapt_many(
     freezing panels too narrow to split or with zero error.  Each round
     evaluates the new panels of every unfinished integral with one call
     evaluate(x, owner), where owner[j] is the index of the integral that
-    abscissa x[j] belongs to.  Non-finite values count as zero.  A result's
-    evaluations are its abscissae.
+    abscissa x[j] belongs to.  A result's evaluations are its abscissae.
     """
     n = len(meshes)
     heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in range(n)]
@@ -425,9 +432,10 @@ def integrate_nd(
     returns an array of y's shape.  Each node x of the outer integral runs
     one inner integral over y, ten times tighter than cfg so that its noise
     stays below the outer estimate.  The reported error adds the mean inner
-    error times the outer length to the outer one.  Integrable logarithmic
-    singularities on lines are acceptable: the adaptive refinement grades
-    the mesh around them.
+    error times the outer length to the outer one.  An integrable
+    logarithmic singularity on a line is graded by the adaptive refinement,
+    as long as no pair of outer and inner nodes lies on it: ln((x - y)^2)
+    over a square [c, d]^2 meets its own nodes on x = y and raises.
     """
     cfg = cfg or QuadratureConfig()
     if len(box) != 2:

@@ -68,7 +68,6 @@ __all__ = [
     "UniformSphere",
     "UniformCylinder",
     "Wavepacket",
-    "KappaResult",
     "DomainError",
     "characteristic_length",
     "cylinder_F",
@@ -122,13 +121,6 @@ class UniformCylinder:
 
 
 Wavepacket = Union[UniformSphere, UniformCylinder]
-
-
-@dataclass(frozen=True)
-class KappaResult:
-    kappa: float
-    error_estimate: float
-    ell: float
 
 
 def characteristic_length(wp: Wavepacket) -> float:
@@ -264,34 +256,35 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     )
 
 
-def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
+def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> IntegrationResult:
     """Shape constant of a wavepacket with ell = characteristic_length(wp).
 
-    Spheres use the exact value -3/2 (error 0).  Cylinders evaluate the
-    reduced three-dimensional quadrature; NonConvergenceError propagates if
-    the requested tolerance cannot be certified.
+    Spheres return the exact value -3/2 with no error and no evaluations.
+    Cylinders return the reduced three-dimensional quadrature's result;
+    NonConvergenceError propagates if the requested tolerance cannot be
+    certified.
     """
-    ell = characteristic_length(wp)
     if isinstance(wp, UniformSphere):
-        return KappaResult(KAPPA_SPHERE, 0.0, ell)
-    res = require_converged(_cylinder_kappa(wp.beta, cfg or _CYL_CFG), "cylinder kappa")
-    return KappaResult(res.value, res.error_estimate, ell)
+        return IntegrationResult(KAPPA_SPHERE, 0.0, 0, True)
+    if not isinstance(wp, UniformCylinder):
+        raise TypeError(f"unsupported wavepacket type: {type(wp).__name__}")
+    return require_converged(_cylinder_kappa(wp.beta, cfg or _CYL_CFG), "cylinder kappa")
 
 
-def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaResult:
-    """Quadrature evaluation for either shape (sphere fast path bypassed).
+def kappa_numeric(wp: UniformSphere, cfg: QuadratureConfig | None = None) -> IntegrationResult:
+    """Sphere shape constant by quadrature, a check of the exact -3/2.
 
-    For the sphere the pair separation d of two uniform points of a ball of
-    radius R has the density (ball line picking; Solomon, Geometric
-    Probability, 1978)
+    The pair separation d of two uniform points of a ball of radius R has
+    the density (ball line picking; Solomon, Geometric Probability, 1978)
 
         p(d) = (3 x^2 / R) (1 - 3x/4 + x^3/16),   x = d/R in [0, 2],
 
-    so kappa = int_0^{2R} p(d) 2 ln(d/ell) dd is one adaptive integral,
-    kept as a check of the exact value; cylinders delegate to kappa().
+    so kappa = int_0^{2R} p(d) 2 ln(d/ell) dd is one adaptive integral.
+    Any other shape raises TypeError: a cylinder's kappa() is already its
+    quadrature.
     """
-    if isinstance(wp, UniformCylinder):
-        return kappa(wp, cfg)
+    if not isinstance(wp, UniformSphere):
+        raise TypeError(f"kappa_numeric takes a UniformSphere, not {type(wp).__name__}")
     import numpy as np
 
     from .quadrature import integrate_1d
@@ -303,11 +296,10 @@ def kappa_numeric(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> KappaR
         x = d / r
         return (3.0 * x * x / r) * (1.0 - 0.75 * x + x**3 / 16.0) * 2.0 * np.log(d / ell)
 
-    res = require_converged(
+    return require_converged(
         integrate_1d(integrand, 0.0, ell, cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)),
         "sphere kappa",
     )
-    return KappaResult(res.value, res.error_estimate, ell)
 
 
 def _sample_points(wp: Wavepacket, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -325,12 +317,13 @@ def _sample_points(wp: Wavepacket, n: int, rng: np.random.Generator) -> np.ndarr
 
 def kappa_bruteforce_oracle(
     wp: Wavepacket, samples: int = 10_000_000, seed: int = 0
-) -> KappaResult:
+) -> IntegrationResult:
     """Monte-Carlo estimate of the six-dimensional pair average.
 
     Completely independent of the quadrature path: samples point pairs
     uniformly from the packet volume and averages ln((y - y')^2/ell^2).
-    The error_estimate is the standard error of the mean.
+    The error_estimate is the standard error of the mean, and the
+    evaluations are the samples.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a usable oracle")
@@ -352,4 +345,4 @@ def kappa_bruteforce_oracle(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     se = math.sqrt(var / samples)
-    return KappaResult(mean, se, ell)
+    return IntegrationResult(mean, se, samples, True)

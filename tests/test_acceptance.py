@@ -54,13 +54,13 @@ def test_criterion_01_sphere_shape_constant():
     numeric = kappa_numeric(UniformSphere(radius=1.0))
     mc = kappa_bruteforce_oracle(UniformSphere(radius=1.0), samples=10_000_000, seed=1)
     elapsed = time.perf_counter() - t0
-    pull = abs(mc.kappa + 1.5) / mc.error_estimate
-    ok = abs(numeric.kappa + 1.5) < 1e-3 and pull <= 4.0 and elapsed < 30.0
+    pull = abs(mc.value + 1.5) / mc.error_estimate
+    ok = abs(numeric.value + 1.5) < 1e-3 and pull <= 4.0 and elapsed < 30.0
     _report(
         1,
         "sphere shape constant",
         ok,
-        f"quadrature {numeric.kappa:.9f}, MC pull {pull:.2f} sigma at 1e7 samples, "
+        f"quadrature {numeric.value:.9f}, MC pull {pull:.2f} sigma at 1e7 samples, "
         f"{elapsed:.1f} s",
     )
 

@@ -30,7 +30,7 @@ from edecoh.decoherence import (
     w_vacuum_parallel,
 )
 from edecoh.kernels import K_EQUAL_ARGS_LIMIT, segment_J_ab_closed, segment_J_straight
-from edecoh.wavepacket import KappaResult, UniformSphere
+from edecoh.wavepacket import UniformSphere
 
 ALPHA = ALPHA_FS
 SPHERE_ELL_1 = UniformSphere(0.5)
@@ -80,8 +80,7 @@ class TestInputs:
 class TestParallel:
     def test_vacuum_zero_bracket(self):
         geom = ParallelGeometry(r0=1.0, T=1.0, v=0.1)
-        kap = KappaResult(kappa=2.0, error_estimate=0.0, ell=1.0)
-        assert w_vacuum_parallel(geom, kap) == 0.0
+        assert w_vacuum_parallel(geom, 2.0, 1.0) == 0.0
         # T = ell here, which the regime notes report
         assert "flight time T is within a factor 10 of the wavepacket size" in check_regime(
             geom, SPHERE_ELL_1
@@ -89,16 +88,14 @@ class TestParallel:
 
     def test_vacuum_sphere_value(self):
         geom = ParallelGeometry(r0=10.0, T=100.0, v=0.1)
-        kap = KappaResult(kappa=-1.5, error_estimate=0.0, ell=1.0)
-        val = w_vacuum_parallel(geom, kap)
+        val = w_vacuum_parallel(geom, -1.5, 1.0)
         expect = ALPHA / math.pi * (3.5 + 2.0 * math.log(100.0))
         assert math.isclose(val, expect, rel_tol=1e-14)
         assert abs(val - 0.029527) < 1e-5
 
     def test_vacuum_positive_in_typical_regime(self):
         geom = ParallelGeometry(r0=10.0, T=1000.0, v=0.1)
-        kap = KappaResult(kappa=-1.5, error_estimate=0.0, ell=1.0)
-        assert w_vacuum_parallel(geom, kap) > 0.0
+        assert w_vacuum_parallel(geom, -1.5, 1.0) > 0.0
 
     @pytest.mark.parametrize("ratio", [50.0, 200.0])
     def test_photon_modes_agree_asymptotically(self, ratio):
@@ -122,8 +119,7 @@ class TestParallel:
         # r0 = ell and kappa = 0 make W vanish in the asymptotic regime; the
         # exact kernel leaves the remainder (alpha/pi) (r0/T)^2 / 3 + O((r0/T)^4)
         geom = ParallelGeometry(r0=3.0, T=3000.0, v=0.1)
-        kap = KappaResult(kappa=0.0, error_estimate=0.0, ell=3.0)
-        total = w_vacuum_parallel(geom, kap) + w_photon_parallel(geom)
+        total = w_vacuum_parallel(geom, 0.0, 3.0) + w_photon_parallel(geom)
         assert total == pytest.approx(ALPHA / math.pi * 1e-6 / 3.0, rel=1e-5)
 
     def test_total_plateau_value(self):
@@ -150,11 +146,10 @@ class TestParallel:
         # the parallel vacuum term is the same-segment static kernel taken
         # twice with L = v T
         geom = ParallelGeometry(r0=10.0, T=500.0, v=0.05)
-        kap = KappaResult(kappa=-1.5, error_estimate=0.0, ell=2.0)
         via_kernel = (
-            -0.5 * ALPHA / math.pi * 2.0 * segment_J_straight(geom.v * geom.T, kap.ell, geom.v, kap.kappa)
+            -0.5 * ALPHA / math.pi * 2.0 * segment_J_straight(geom.v * geom.T, 2.0, geom.v, -1.5)
         )
-        assert math.isclose(w_vacuum_parallel(geom, kap), via_kernel, rel_tol=1e-13)
+        assert math.isclose(w_vacuum_parallel(geom, -1.5, 2.0), via_kernel, rel_tol=1e-13)
 
 
 THETA_NEAR_RIGHT = 0.5 * math.pi * (1.0 - 1e-12)

@@ -18,6 +18,9 @@ from edecoh.quadrature import (
     PoleOnBoundaryError,
     PoleSeparationError,
     QuadratureConfig,
+    _WG,
+    _WK,
+    _XK,
     _adapt_many,
     _pv_many,
     integrate_1d,
@@ -39,6 +42,55 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
+
+
+def _symmetric_rule(mpmath, nodes, weights, fixed):
+    """Solve the moment equations of a symmetric rule on [-1, 1].
+
+    The unknowns are the positive nodes not in fixed (a map of known nodes
+    to their exact values) and the weights at the nodes x >= 0; there are
+    as many equations as unknowns, sum_i w_i x_i^k = 2/(k + 1) for even k,
+    and odd moments vanish by symmetry.  Newton's method starts from the
+    floats given.  Returns the solved nodes and weights, ascending in x.
+    """
+    half = len(nodes) // 2
+    positive = list(nodes[half + 1:])
+    free = [x for x in positive if x not in fixed]
+    count = len(free) + half + 1
+
+    def moments(*u):
+        at = {**fixed, **dict(zip(free, u))}
+        w = u[len(free):]
+        return [
+            (w[0] if k == 0 else 0)
+            + 2 * mpmath.fsum(wi * at[x] ** k for wi, x in zip(w[1:], positive))
+            - mpmath.mpf(2) / (k + 1)
+            for k in range(0, 2 * count, 2)
+        ]
+
+    solution = mpmath.findroot(moments, [*free, *weights[half:]])
+    return dict(zip(free, solution[: len(free)])), list(solution[len(free):])
+
+
+class TestGaussKronrodRule:
+    def test_constants_are_the_rounded_exact_rule(self):
+        # the 7-point Gauss rule is exact through x^13 and its 15-point
+        # Kronrod extension through x^23; solved at 40 digits, every node and
+        # weight must be its exact value rounded to the nearest float
+        mpmath = pytest.importorskip("mpmath")
+        xk, wk, wg = _XK.tolist(), _WK.tolist(), _WG.tolist()
+        assert xk == [-x for x in reversed(xk)] and wk == wk[::-1] and wg == wg[::-1]
+        with mpmath.workdps(40):
+            gauss_x, gauss_w = _symmetric_rule(mpmath, xk[1::2], wg, {})
+            kronrod_x, kronrod_w = _symmetric_rule(mpmath, xk, wk, gauss_x)
+        assert sorted(gauss_x) == xk[9::2]
+        assert {x: float(v) for x, v in {**gauss_x, **kronrod_x}.items()} == {x: x for x in xk[8:]}
+        assert [float(w) for w in gauss_w] == wg[3:]
+        assert [float(w) for w in kronrod_w] == wk[7:]
+
+    def test_weights_sum_to_the_interval_length(self):
+        assert math.fsum(_WK) == 2.0
+        assert math.fsum(_WG) == 2.0
 
 
 class TestIntegrate1d:
@@ -67,6 +119,27 @@ class TestIntegrate1d:
             integrate_1d(f, 0.0, 1.0, CFG)
         with pytest.raises(ValueError, match="integrand must return an array"):
             pv_integrate_1d(f, 0.0, 1.0, [0.5], CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", ["integrate_1d", "pv_integrate_1d", "integrate_nd"])
+    def test_non_finite_value_raises_naming_the_node(self, route, bad):
+        # nothing non-finite is counted as zero: the first node above 1/2
+        # gets the value bad, and the error names that node and value
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.where(x > 0.5, bad, 1.0)
+
+        call = {
+            "integrate_1d": lambda: integrate_1d(f, 0.0, 1.0, CFG),
+            "pv_integrate_1d": lambda: pv_integrate_1d(f, 0.0, 1.0, [0.25], CFG),
+            "integrate_nd": lambda: integrate_nd(lambda x, y: f(y), [(0.0, 1.0), (0.0, 1.0)], CFG),
+        }[route]
+        with pytest.raises(ValueError, match="integrand must return finite values") as info:
+            call()
+        node = float(seen[-1][seen[-1] > 0.5][0])
+        assert f"not {bad!r} at x = {node!r}" in str(info.value)
 
     def test_integrand_error_propagates_from_its_one_call(self):
         calls = [0]
@@ -253,12 +326,30 @@ class TestIntegrateNd:
         assert res.value == pytest.approx(0.25, rel=1e-11)
 
     def test_log_line_singularity(self):
-        # int ln((x-y)^2) over the unit square: with u = x-y the double
-        # integral of 2 ln|u| against the triangular overlap weight gives -3
+        # int ln((x-y)^2) over [0, 1] x [1/3, 4/3]: the line x = y crosses
+        # the box, but no outer node meets an inner one on it.  With
+        # G(u) = u^2 ln|u| - 3u^2/2, whose second derivative is 2 ln|u|, the
+        # integral is the corner sum G(1 - 1/3) - G(-1/3) - G(1 - 4/3) + G(-4/3)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            G = lambda u: u * u * mpmath.log(abs(u)) - 1.5 * u * u
+            third = mpmath.mpf(1) / 3
+            exact = float(G(1 - third) - G(-third) - G(1 - 4 * third) + G(-4 * third))
         f = lambda x, y: np.log((x - y) ** 2)
         cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-        res = integrate_nd(f, [(0, 1), (0, 1)], cfg)
-        assert res.value == pytest.approx(-3.0, abs=1e-7)
+        res = integrate_nd(f, [(0, 1), (1 / 3, 4 / 3)], cfg)
+        assert res.converged
+        assert res.value == pytest.approx(exact, abs=1e-8)
+
+        # on the unit square the inner and outer nodes coincide on x = y,
+        # where the integrand is -inf: no finite value, so the quadrature
+        # raises instead of counting it as zero
+        def on_the_nodes(x, y):
+            with np.errstate(divide="ignore"):
+                return f(x, y)
+
+        with pytest.raises(ValueError, match=r"finite values, not -inf at x = "):
+            integrate_nd(on_the_nodes, [(0, 1), (0, 1)], cfg)
 
     def test_periodic_direction(self):
         # int_0^1 dx int_0^{2pi} dt x (1 + 0.3 cos t) = pi
