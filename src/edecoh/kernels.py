@@ -209,14 +209,10 @@ def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
 # function except for integrable log spikes where a pole crosses the inner
 # boundary.  It validates a closed form that itself carries O(v ln v)
 # truncation, so the outer tolerance is set for ~1e-4 relative accuracy;
-# tightening it multiplies the inner work, which _I_NUMERIC_MAX_EVALS caps.
+# tightening it multiplies the inner work, which quadrature._MAX_EVALS caps.
 _I_NUMERIC_CFG = QuadratureConfig(rel_tol=3e-5, abs_tol=1e-8)
 # the inner principal values, ten times tighter than the outer integral
 _I_INNER_CFG = QuadratureConfig(rel_tol=3e-6, abs_tol=1e-8)
-
-# inner integrand evaluations one numeric I_aa may spend; the default V
-# geometry spends 1.3M
-_I_NUMERIC_MAX_EVALS = 20_000_000
 
 
 def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "closed") -> float:
@@ -228,7 +224,7 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
     cutoff c = ell/v, so ell must lie below L1; for each outer t the inner
     poles sit at t (1 -+ s)/(1 +- s) with s = v sin(theta).  Each outer
     refinement round computes the inner PVs of all its nodes in one batch.
-    Raises NonConvergenceError past _I_NUMERIC_MAX_EVALS inner evaluations,
+    Raises NonConvergenceError past quadrature._MAX_EVALS inner evaluations,
     or when the outer error plus the mean inner error over [c, T1] exceeds
     1% of the value.
     """
@@ -240,7 +236,7 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
         raise ValueError(f"unknown method: {method!r}")
     import numpy as np
 
-    from .quadrature import _on_boundary, _pv_many, integrate_1d
+    from .quadrature import _MAX_EVALS, _on_boundary, _pv_many, integrate_1d
 
     s = geom.v * math.sin(geom.theta)
     if 1.0 - s == 1.0 + s:
@@ -274,10 +270,10 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
 
         results = _pv_many(g, windows, pole_sets, _I_INNER_CFG, 8)
         spent += sum(res.evaluations for res in results)
-        if spent > _I_NUMERIC_MAX_EVALS:
+        if spent > _MAX_EVALS:
             raise NonConvergenceError(
                 f"I_aa numeric: inner principal values took {spent} evaluations, over the "
-                f"budget of {_I_NUMERIC_MAX_EVALS}"
+                f"budget of {_MAX_EVALS}"
             )
         inner_errs.extend(res.error_estimate for res in results)
         return np.array([res.value for res in results])

@@ -98,6 +98,13 @@ _WG = np.array([*_WG7[:-1], *reversed(_WG7)])
 # end on the same value with twice the budget, at four times the cost
 _MAX_SPLITS = 2048
 
+# the integrand evaluations one nested integral may spend at its inner level
+# (the numeric I_aa's principal values, cylinder kappa's azimuthal
+# integrals) before it raises NonConvergenceError: the split budgets of the
+# levels multiply, so they bound no tolerance alone.  The default V
+# geometry's I_aa spends 1.3M, a default kappa row 0.3-1.2M
+_MAX_EVALS = 20_000_000
+
 
 def _values(
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray, owner: np.ndarray

@@ -31,23 +31,22 @@ axial average over the two longitudinal coordinates has the closed form
 
 and kappa = (4/pi) int_0^1 rho drho int_0^1 rho' drho' int_0^{2pi} dphi F,
 the prefactor 4/pi carrying the measure normalization (2/pi) times the
-factor 2 from the squared separation.  At b = 0 the formula degenerates to
-the explicit limit F = ln(R/ell) + ln(beta) - 3/2, i.e. the axial
-log-average ln(L/ell) - 3/2; the implementation handles that branch
-explicitly instead of relying on floating-point cancellation.  Limits:
-F -> ln(R/ell) + ln b for beta -> 0 (flat disk) and F -> ln(L/ell) - 3/2
-for beta -> infinity (thin rod).  For beta << b the bracket is O(beta^2)
-but formed from O(b^2 ln b) terms, so there F is summed instead as the
-log-moment series of the triangular axial density (E[w^2k] =
-1/((k + 1)(2k + 1))), with x = beta^2 / b^2:
+factor 2 from the squared separation.  The bracket is O(beta^2) formed
+from O(b^2 ln b) terms and is 0/0 at b = 0, so F is evaluated in the form
+it takes with q = b/beta and t = q^2: ln(b^2 + beta^2) = 2 ln beta +
+ln(1 + t) and b^2 ln b = beta^2 (t ln beta + 1/2 t ln t) give the bracket
+over beta^2 as ln beta + 1/2 t ln t + 1/2 (1 - t) ln(1 + t) + 2 q
+arctan(beta/b) - 3/2, and 1/2 t ln t + 1/2 (1 - t) ln(1 + t) =
+1/2 ln(1 + t) - 1/2 t ln(1 + 1/t) joins ln beta into ln hypot(beta, b):
 
-    F = ln(R/ell) + ln b + 1/2 sum_k (-1)^(k+1) x^k / (k (k + 1) (2k + 1)).
+    F = ln(R hypot(beta, b) / ell) - 1/2 t ln(1 + 1/t) + 2 q arctan(beta/b) - 3/2.
 
-For beta >> b, where beta^2 overflows past 1.3e154, F is the same bracket
-written in q = b / beta with ln(b^2 + beta^2) = 2 ln beta + ln(1 + q^2):
-
-    F = ln(R beta/ell) + 1/2 q^2 ln q^2 + 1/2 (1 - q^2) ln(1 + q^2)
-        + 2 q arctan(beta/b) - 3/2.
+The last three terms tend to 0 + 0 - 3/2 as q -> 0, which holds at b = 0
+and for a thin rod (beta -> infinity): F -> ln(L/ell) - 3/2, the axial
+log-average of coincident transverse positions.  They tend to
+-1/2 + 2 - 3/2 = 0 as q -> infinity, the flat disk (beta -> 0):
+F -> ln(R b/ell).  Each is O(1), so their cancellation costs only
+absolute rounding and the form holds over the whole float range.
 
 A brute-force Monte-Carlo estimate of the six-dimensional average serves as
 the independent oracle for the quadrature path.
@@ -59,7 +58,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .base import IntegrationResult, QuadratureConfig, log_ratio, require_converged, require_finite
+from .base import (
+    IntegrationResult,
+    NonConvergenceError,
+    QuadratureConfig,
+    require_converged,
+    require_finite,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,72 +137,40 @@ def characteristic_length(wp: Wavepacket) -> float:
     raise TypeError(f"unsupported wavepacket type: {type(wp).__name__}")
 
 
-# the closed form's bracket is O(beta^2) formed from O(b^2 ln b) terms, so
-# its error grows as eps / x with x = beta^2 / b^2.  Below x = _SERIES_X, F
-# is summed as the series in x instead: its first omitted term is
-# x^8 / 2448, and the closed form above the switch stays within
-# 2e-13 max(1, |F|) of F.
-# b^2 <= 4 in a unit-radius disk, so no beta at or above 2 sqrt(_SERIES_X)
-# reaches the series, and those run the closed form alone
-_SERIES_X = 2e-3
-_SERIES_BETA = 2.0 * math.sqrt(_SERIES_X)
-# from here on b <= 2 << beta in a unit-radius disk, and F is written in
-# q = b / beta (module docstring): no beta^2 is formed, and the 2 ln beta
-# of ln(b^2 + beta^2) joins ln(R/ell) instead of cancelling against it
-_ROD_BETA = 1e3
-
-
-def cylinder_F(b2, beta: float, r_over_ell: float):
+def cylinder_F(b2, beta: float):
     """Axial log-average of the cylinder at squared transverse separation b2.
 
     b2 = rho^2 + rho'^2 - 2 rho rho' cos(phi), in units of R^2, is the only
-    transverse quantity F depends on; a scalar or a numpy array.  Raises
-    DomainError if b2 lies below -1e-12 (impossible geometry); tiny negative
-    round-off is clamped to zero and routed through the explicit b = 0 limit.
+    transverse quantity F depends on; a scalar or a numpy array.  ell is
+    max(2R, L), the characteristic length.  Raises DomainError if b2 lies
+    below -1e-12 (impossible geometry); tiny negative round-off is clamped
+    to zero.
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    if not r_over_ell > 0.0:
-        raise ValueError("R/ell must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     import numpy as np
 
     b2 = np.asarray(b2, dtype=float)
     if np.any(b2 < -1e-12):
         raise DomainError("squared transverse separation is negative")
-    b2 = np.maximum(b2, 0.0)
-    b = np.sqrt(b2)
-    if beta >= _ROD_BETA:
-        q = b / beta
-        t = q * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ln_t = np.where(t > 0.0, t * np.log(t), 0.0)
-        out = (
-            log_ratio((r_over_ell, beta))
-            + 0.5 * t_ln_t
-            + 0.5 * (1.0 - t) * np.log1p(t)
-            + 2.0 * q * np.arctan2(beta, b)
-            - 1.5
+    b = np.sqrt(np.maximum(b2, 0.0))
+    # F depends on beta << b only through O(beta^2/b^2), so beta is raised
+    # to 1e-150 b there and q stays below 1e150.  t is held above 1e-300,
+    # where 1/2 t ln(1 + 1/t) < 4e-298.  ln(hypot(beta, b)/ell) is the log
+    # of the larger side over ell/2, less ln 2 (so that no subnormal side is
+    # halved), plus 1/2 ln(1 + min(t, 1/t)); np.hypot would cost a third of
+    # the call
+    beta_b = np.maximum(beta, 1e-150 * b)
+    q = b / beta_b
+    t = np.maximum(q * q, 1e-300)
+    inv_t = 1.0 / t
+    out = (
+        np.log(np.maximum(b, beta_b) / max(1.0, 0.5 * beta))
+        + 0.5 * (
+            np.log1p(np.minimum(t, inv_t)) - t * np.log1p(inv_t) + 4.0 * q * np.arctan2(beta_b, b)
         )
-        return out if out.ndim else float(out)
-    beta2 = beta * beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 0 * log(0) guarded: the b = 0 limit of the bracket is
-        # 0.5 beta^2 ln(beta^2) - 1.5 beta^2, reproduced exactly by the
-        # surviving terms once b^2 ln b is forced to its limit 0
-        b2_ln_b = np.where(b2 > 0.0, 0.5 * b2 * np.log(b2), 0.0)
-    bracket = b2_ln_b - 0.5 * (
-        (b2 - beta2) * np.log(b2 + beta2)
-        - 4.0 * beta * b * np.arctan2(beta, b)
-        + 3.0 * beta2
+        - (1.5 + math.log(2.0))
     )
-    out = math.log(r_over_ell) + bracket / beta2
-    if beta < _SERIES_BETA:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = beta2 / b2
-            series = np.log(b2) + sum(
-                (-1.0) ** (k + 1) * x**k / (k * (k + 1) * (2 * k + 1)) for k in range(1, 8)
-            )
-        out = np.where(x < _SERIES_X, math.log(r_over_ell) + 0.5 * series, out)
     return out if out.ndim else float(out)
 
 
@@ -214,13 +187,12 @@ _CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9)
 def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     import numpy as np
 
-    from .quadrature import _MAX_SPLITS, _adapt_many, _tolerance, integrate_nd
+    from .quadrature import _MAX_EVALS, _MAX_SPLITS, _adapt_many, _tolerance, integrate_nd
 
-    r_over_ell = 1.0 / max(2.0, beta)
     phi_mesh = (0.0, *_PHI_BREAKPOINTS, math.pi)
-    phi_cfg = (_tolerance(cfg.rel_tol * 1e-2, cfg.abs_tol * 1e-2), _MAX_SPLITS)
+    phi_rel = cfg.rel_tol * 1e-2
+    phi_cfg = (_tolerance(phi_rel, cfg.abs_tol * 1e-2), _MAX_SPLITS)
     evals = [0]
-    ok = [True]
     # summed errors of the azimuthal integrals, each weighted as its value
     # enters the outer integrand, and their count
     phi_err = [0.0, 0]
@@ -231,7 +203,7 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
         # symmetry of b^2
         def F(phi, owner):
             rp = r2[owner]
-            return cylinder_F(r1 * r1 + rp * rp - 2.0 * r1 * rp * np.cos(phi), beta, r_over_ell)
+            return cylinder_F(r1 * r1 + rp * rp - 2.0 * r1 * rp * np.cos(phi), beta)
 
         results = _adapt_many(
             F,
@@ -239,10 +211,22 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
             [phi_cfg] * r2.size,
         )
         evals[0] += sum(res.evaluations for res in results)
-        ok[0] = ok[0] and all(res.converged for res in results)
-        phi_err[0] += sum(2.0 * res.error_estimate * r1 * r2i for res, r2i in zip(results, r2))
+        # an unconverged azimuthal integral leaves kappa uncertified, so the
+        # levels above it need not run on
+        if not all(res.converged for res in results):
+            raise NonConvergenceError(
+                f"cylinder kappa: an azimuthal integral missed its rel_tol of {phi_rel:.3g} "
+                f"within the split budget of {_MAX_SPLITS}"
+            )
+        if evals[0] > _MAX_EVALS:
+            raise NonConvergenceError(
+                f"cylinder kappa: azimuthal integrals took {evals[0]} evaluations, over the "
+                f"budget of {_MAX_EVALS}"
+            )
+        radii = r2.tolist()
+        phi_err[0] += sum(2.0 * res.error_estimate * r1 * r2i for res, r2i in zip(results, radii))
         phi_err[1] += r2.size
-        return np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, r2)])
+        return np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, radii)])
 
     outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], cfg)
     scale = 4.0 / math.pi
@@ -252,7 +236,7 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
         scale * outer.value,
         scale * (outer.error_estimate + phi_err[0] / phi_err[1]),
         outer.evaluations + evals[0],
-        outer.converged and ok[0],
+        outer.converged,
     )
 
 
@@ -262,7 +246,8 @@ def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> IntegrationRes
     Spheres return the exact value -3/2 with no error and no evaluations.
     Cylinders return the reduced three-dimensional quadrature's result;
     NonConvergenceError propagates if the requested tolerance cannot be
-    certified.
+    certified, or once the azimuthal integrals spend more than
+    quadrature._MAX_EVALS evaluations.
     """
     if isinstance(wp, UniformSphere):
         return IntegrationResult(KAPPA_SPHERE, 0.0, 0, True)

@@ -125,6 +125,41 @@ class TestKappaSweep:
         for _, kap, err in rows:
             assert abs(kap + 3.0) <= err
 
+    @pytest.mark.parametrize(
+        "lo, hi, limit, slack",
+        [("1e-200", "1e-199", -0.5 - 2.0 * math.log(2.0), 1e-7), ("1e200", "1e201", -3.0, 0.0)],
+    )
+    def test_extreme_aspect_ratios_reach_their_limits_without_warnings(self, lo, hi, limit, slack):
+        # a fresh process with every warning an error: at beta = 1e-200 the
+        # bracket form of F was NaN at b = 0, and the sweep exited 2
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "edecoh",
+             "kappa-sweep", "--beta-min", lo, "--beta-max", hi, "--steps", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = [[float(x) for x in line.split(",")] for line in proc.stdout.splitlines()[1:]]
+        assert [beta for beta, _, _ in rows] == [float(lo), float(hi)]
+        for _, kap, err in rows:
+            assert abs(kap - limit) <= err + slack
+
+    @pytest.mark.parametrize("rel_tol", ["1e-15", "1e-13"])
+    def test_tight_rel_tol_exits_3_in_bounded_time(self, capsys, rel_tol):
+        # at 1e-15 no azimuthal integral can meet its tolerance; at 1e-13
+        # they can, and the evaluation budget ends the row.  Both once ran
+        # without end
+        start = time.perf_counter()
+        rc, out, err = _run(
+            capsys,
+            ["kappa-sweep", "--rel-tol", rel_tol, "--beta-min", "1", "--beta-max", "4",
+             "--steps", "2"],
+        )
+        assert rc == 3
+        assert out == "beta,kappa,error_estimate\n"
+        assert "cylinder kappa" in err and "budget" in err
+        assert time.perf_counter() - start < 60.0
+
     def test_nonconvergence_exits_3_with_partial_output(self, capsys, tmp_path, monkeypatch):
         def explode(wp, cfg=None):
             raise NonConvergenceError("kappa quadrature stalled")

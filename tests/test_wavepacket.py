@@ -54,16 +54,16 @@ class TestShapes:
         assert UniformCylinder(2.0, 5.0).beta == 2.5
 
 
-def _axial_average_oracle(b: float, beta: float, r_over_ell: float) -> float:
+def _axial_average_oracle(b: float, beta: float) -> float:
     """Direct quadrature of the defining axial average.
 
     F(b) is the mean of ln(d/ell) over the two scaled axial coordinates
     u, u' uniform in [0, 1], with d^2 = (R b)^2 + L^2 (u - u')^2 and R = 1,
-    L = beta, ell = R / r_over_ell.  The mean depends on u, u' only through
+    L = beta, ell = max(2R, L).  The mean depends on u, u' only through
     w = |u - u'|, whose density on [0, 1] is 2 (1 - w), so it is one 1-D
     integral.
     """
-    ell = 1.0 / r_over_ell
+    ell = max(2.0, beta)
 
     def f(w):
         d2 = b * b + beta * beta * w * w
@@ -81,30 +81,29 @@ def _b2(rho, rho_p, phi):
 class TestCylinderF:
     def test_b_zero_limit_beta_one(self):
         # coincident transverse positions, aspect ratio 1, R/ell = 1/2
-        val = cylinder_F(0.0, 1.0, 0.5)
+        val = cylinder_F(0.0, 1.0)
         assert math.isclose(val, math.log(0.5) - 1.5, rel_tol=1e-12)
 
     def test_b_zero_limit_general(self):
         # the finite limit is the axial log-average ln(L/ell) - 3/2
-        for beta, r_over_ell in [(3.0, 1.0 / 3.0), (0.5, 0.5), (8.0, 0.125)]:
-            val = cylinder_F(0.0, beta, r_over_ell)
-            expect = math.log(r_over_ell) + math.log(beta) - 1.5
+        for beta in [3.0, 0.5, 8.0]:
+            val = cylinder_F(0.0, beta)
+            expect = math.log(beta / max(2.0, beta)) - 1.5
             assert math.isclose(val, expect, rel_tol=1e-12)
-            oracle = _axial_average_oracle(0.0, beta, r_over_ell)
+            oracle = _axial_average_oracle(0.0, beta)
             assert math.isclose(val, oracle, rel_tol=0, abs_tol=1e-8)
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 7.0])
     @pytest.mark.parametrize("rho,rho_p,phi", [(0.9, 0.2, 1.1), (0.5, 0.5, 2.8), (1.0, 1.0, 0.3)])
     def test_matches_axial_quadrature(self, beta, rho, rho_p, phi):
-        r_over_ell = 1.0 / max(2.0, beta)
         b2 = _b2(rho, rho_p, phi)
-        oracle = _axial_average_oracle(math.sqrt(b2), beta, r_over_ell)
-        assert math.isclose(cylinder_F(b2, beta, r_over_ell), oracle, rel_tol=0, abs_tol=1e-9)
+        oracle = _axial_average_oracle(math.sqrt(b2), beta)
+        assert math.isclose(cylinder_F(b2, beta), oracle, rel_tol=0, abs_tol=1e-9)
 
     def test_small_aspect_ratio_is_transverse_log(self):
         # flat disk: the axial extent drops out and F -> ln(R/ell) + ln b
         b2 = _b2(0.8, 0.3, 2.0)
-        val = cylinder_F(b2, 1e-3, 0.5)
+        val = cylinder_F(b2, 1e-3)
         assert abs(val - (math.log(0.5) + 0.5 * math.log(b2))) < 1e-4
 
     def test_large_aspect_ratio_is_axial_average(self):
@@ -112,58 +111,65 @@ class TestCylinderF:
         # correction is pi*b/beta, so beta must dwarf the rim separation 2
         beta = 2000.0
         for args in [(0.1, 0.9, 0.4), (1.0, 1.0, math.pi)]:
-            assert abs(cylinder_F(_b2(*args), beta, 1.0 / beta) + 1.5) < 0.01
+            assert abs(cylinder_F(_b2(*args), beta) + 1.5) < 0.01
 
     def test_vectorized_over_phi(self):
         b2 = _b2(0.6, 0.4, np.linspace(0.0, 2.0 * math.pi, 7))
-        out = cylinder_F(b2, 2.0, 0.5)
+        out = cylinder_F(b2, 2.0)
         assert out.shape == b2.shape
         for b2_i, o in zip(b2, out):
-            assert math.isclose(cylinder_F(float(b2_i), 2.0, 0.5), o, rel_tol=1e-14)
+            assert math.isclose(cylinder_F(float(b2_i), 2.0), o, rel_tol=1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            cylinder_F(-2e-12, 1.0, 0.5)
+            cylinder_F(-2e-12, 1.0)
         with pytest.raises(DomainError):
-            cylinder_F(np.array([0.5, -0.2]), 1.0, 0.5)
+            cylinder_F(np.array([0.5, -0.2]), 1.0)
         with pytest.raises(ValueError):
-            cylinder_F(0.5, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            cylinder_F(0.5, 1.0, 0.0)
+            cylinder_F(0.5, -1.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                cylinder_F(0.5, beta)
 
     def test_matches_mpmath_across_beta(self):
-        # the closed form at 90 digits, where its O(b^2 ln b) terms cancel to
-        # the O(beta^2) bracket without loss; the float closed form alone
-        # reaches O(1) error at beta = 1e-8, the series keeps F to rounding
+        # the bracket form of the module docstring, with enough digits that
+        # its O(b^2 ln b) terms cancel to the O(beta^2) bracket without loss
+        # (4/beta^2 bounds their ratio).  It shares no arrangement with the
+        # implementation.  The grid holds beta = 1e-300, 1e-12, 1e6 and
+        # 1e300 and both ends of the float range; floating-point warnings
+        # are errors under the suite's settings
         mpmath = pytest.importorskip("mpmath")
 
-        def exact(b2, beta, r_over_ell):
-            with mpmath.workdps(90):
+        def exact(b2, beta):
+            digits = 40 + math.ceil(max(0.0, math.log10(4.0) - 2.0 * math.log10(beta)))
+            with mpmath.workdps(digits):
                 b2, beta = mpmath.mpf(b2), mpmath.mpf(beta)
+                ln_r_over_ell = -mpmath.log(max(2, beta))
                 if b2 == 0:
-                    return float(mpmath.log(r_over_ell) + mpmath.log(beta) - 1.5)
+                    return float(ln_r_over_ell + mpmath.log(beta) - 1.5)
                 b = mpmath.sqrt(b2)
                 bracket = b2 * mpmath.log(b) - (
                     (b2 - beta**2) * mpmath.log(b2 + beta**2)
                     - 4 * beta * b * mpmath.atan2(beta, b)
                     + 3 * beta**2
                 ) / 2
-                return float(mpmath.log(r_over_ell) + bracket / beta**2)
+                return float(ln_r_over_ell + bracket / beta**2)
 
-        for beta in np.geomspace(1e-12, 1e6, 37):
-            r_over_ell = 1.0 / max(2.0, beta)
-            # b^2 in [0, 4], crowded where x = beta^2 / b^2 crosses the switch
-            b2 = np.concatenate([[0.0, 1e-300], np.geomspace(1e-30, 4.0, 25),
-                                 beta**2 / np.geomspace(1e-3, 1e-2, 9)])
+        betas = [5e-324, *np.geomspace(1e-300, 1e300, 101).tolist(), 1.7e308]
+        assert {1e-300, 1e-12, 1e6, 1e300} <= set(betas)
+        for beta in betas:
+            # b^2 in [0, 4], crowded where b crosses beta
+            near = min(beta, 1.0) ** 2 * np.geomspace(1e-3, 1e3, 9)
+            b2 = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-30, 4.0, 25), near])
             b2 = b2[b2 <= 4.0]
-            for b2_i, val in zip(b2, cylinder_F(b2, beta, r_over_ell)):
-                ref = exact(b2_i, beta, r_over_ell)
-                assert abs(val - ref) <= 2e-13 * max(1.0, abs(ref)), (beta, b2_i)
-                assert cylinder_F(float(b2_i), beta, r_over_ell) == val
+            for b2_i, val in zip(b2, cylinder_F(b2, beta)):
+                ref = exact(b2_i, beta)
+                assert abs(val - ref) <= 2e-15 * max(1.0, abs(ref)), (beta, b2_i)
+                assert cylinder_F(float(b2_i), beta) == val
 
     def test_roundoff_negative_b2_clamped(self):
-        # rho = rho', phi = 0 can give b^2 ~ -1e-17; must hit the b = 0 branch
-        val = cylinder_F(-1e-17, 1.0, 0.5)
+        # rho = rho', phi = 0 can give b^2 ~ -1e-17; it is clamped to b = 0
+        val = cylinder_F(-1e-17, 1.0)
         assert math.isclose(val, math.log(0.5) - 1.5, rel_tol=1e-9)
 
 
@@ -233,7 +239,7 @@ class TestKappa:
 
         def pair_density_weighted_F(b):
             P = (4.0 * b / math.pi) * (np.arccos(b / 2) - (b / 2) * np.sqrt(1.0 - b * b / 4))
-            return P * cylinder_F(b * b, beta, 0.5)
+            return P * cylinder_F(b * b, beta)
 
         ref = integrate_1d(pair_density_weighted_F, 0.0, 2.0, QuadratureConfig(rel_tol=1e-13))
         assert ref.converged
@@ -313,6 +319,18 @@ class TestKappa:
         assert isinstance(res, IntegrationResult)
         assert res.evaluations > 0 and res.converged
         assert 0.0 < res.error_estimate <= 5e-7 * abs(res.value)
+
+    def test_cylinder_error_estimate_is_a_python_float(self):
+        # as the sphere, the sphere quadrature and the Monte-Carlo routes give
+        assert type(kappa(UniformCylinder(1.0, 2.0)).error_estimate) is float
+
+    def test_cylinder_evaluation_budget_is_named(self, monkeypatch):
+        from edecoh import quadrature
+        from edecoh.quadrature import NonConvergenceError
+
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 100_000)
+        with pytest.raises(NonConvergenceError, match="over the budget of 100000"):
+            kappa(UniformCylinder(1.0, 2.0))
 
     def test_numeric_takes_a_sphere_only(self):
         with pytest.raises(TypeError, match="UniformSphere"):
