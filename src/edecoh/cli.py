@@ -147,17 +147,6 @@ def _wavepacket(args: argparse.Namespace) -> Wavepacket:
     return UniformCylinder(radius=args.radius, length=args.length)
 
 
-def _scaled(wp: Wavepacket, factor: float) -> Wavepacket:
-    from .wavepacket import UniformCylinder, UniformSphere
-
-    try:
-        if isinstance(wp, UniformSphere):
-            return UniformSphere(radius=wp.radius * factor)
-        return UniformCylinder(radius=wp.radius * factor, length=wp.length * factor)
-    except ValueError as exc:
-        raise ValueError(f"--ell-sweep scales the wavepacket by {factor:g}: {exc}") from None
-
-
 def _grid(lo: float, hi: float, steps: int, log_spacing: bool) -> list[float]:
     from .base import require_finite
 
@@ -225,11 +214,11 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
         lo = args.sweep_min if args.sweep_min is not None else 10.0 * geom.r0
         hi = args.sweep_max if args.sweep_max is not None else 1e4 * geom.r0
         grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
-    if args.sweep is None:
-        _print_result(out, w_total_parallel(geom, wp, cfg))
-        return 0
     kap = kappa(wp, cfg).value
     ell = characteristic_length(wp)
+    if args.sweep is None:
+        _print_result(out, w_total_parallel(geom, kap, ell))
+        return 0
     out.line("T,w_vacuum,w_photon,w_total")
     for T in grid:
         g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
@@ -241,32 +230,38 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
 
 def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
     from .decoherence import IntersectingGeometry, w_total_intersecting
-    from .wavepacket import characteristic_length
+    from .wavepacket import characteristic_length, kappa
 
     geom = IntersectingGeometry(L1=args.L1, L2=args.L2, theta=args.theta, v=args.v)
     wp = _wavepacket(args)
     cfg = _quad_cfg(args)
-    sweep = [_scaled(wp, f) for f in (0.01, 0.1, 1.0, 10.0, 100.0)] if args.ell_sweep else []
+    ell = characteristic_length(wp)
+    # kappa depends on the packet's shape alone: the sweep scales ell only,
+    # and every scaled ell is checked before any work
+    sweep = [f * ell for f in (0.01, 0.1, 1.0, 10.0, 100.0)] if args.ell_sweep else []
+    if not all(0.0 < scaled < math.inf for scaled in sweep):
+        inputs = "radius" if args.shape == "sphere" else "radius or length"
+        raise ValueError(
+            f"--ell-sweep scales the wavepacket size ell = {_fmt(ell)} by 0.01 to 100, "
+            f"out of the float range; change the {inputs}"
+        )
     if args.branch == "assembled":
         # the numeric I_aa cuts off at flight time ell/v, inside the short
-        # arm's flight time L1/v; check the whole sweep before any work
+        # arm's flight time L1/v
         for scaled in sweep:
-            ell = characteristic_length(scaled)
-            if not ell / geom.v < geom.L1 / geom.v:
+            if not scaled / geom.v < geom.L1 / geom.v:
                 raise ValueError(
-                    f"--ell-sweep reaches ell = {_fmt(ell)}, not below L1 = {_fmt(geom.L1)}; "
+                    f"--ell-sweep reaches ell = {_fmt(scaled)}, not below L1 = {_fmt(geom.L1)}; "
                     "the assembled branch needs ell < L1"
                 )
+    kap = kappa(wp, cfg).value
     if not args.ell_sweep:
-        _print_result(out, w_total_intersecting(geom, wp, cfg, branch=args.branch))
+        _print_result(out, w_total_intersecting(geom, kap, ell, branch=args.branch))
         return 0
     out.line("ell,w_vacuum,w_photon,w_total")
     for scaled in sweep:
-        res = w_total_intersecting(geom, scaled, cfg, branch=args.branch)
-        out.line(
-            f"{_fmt(characteristic_length(scaled))},{_fmt(res.w_vacuum)},"
-            f"{_fmt(res.w_photon)},{_fmt(res.w_total)}"
-        )
+        res = w_total_intersecting(geom, kap, scaled, branch=args.branch)
+        out.line(f"{_fmt(scaled)},{_fmt(res.w_vacuum)},{_fmt(res.w_photon)},{_fmt(res.w_total)}")
     return 0
 
 

@@ -5,7 +5,9 @@ a factor e^W with W = W_vacuum + W_photon: the vacuum term is the
 fluctuation average of the relative phase along the two paths (finite only
 for extended wavepackets, whence the shape constant kappa and size ell),
 and the photon term accounts for which-path information carried away by
-emitted radiation.  Two benchmark geometries are assembled here.
+emitted radiation.  Two benchmark geometries are assembled here.  A packet
+enters only through those two numbers, so the exponents take (kappa, ell)
+and leave the packet's shape to the caller (edecoh.wavepacket).
 
 Parallel paths, separation r0, flight time T (rest frame):
 
@@ -50,8 +52,7 @@ from .kernels import (
     segment_J_ab_closed,
     segment_J_straight,
 )
-from .base import QuadratureConfig, log_ratio, require_finite, split_product
-from .wavepacket import Wavepacket, characteristic_length, kappa
+from .base import log_ratio, require_finite, split_product
 
 __all__ = [
     "ALPHA_FS",
@@ -155,30 +156,22 @@ def w_photon_parallel(geom: ParallelGeometry) -> float:
     return ALPHA_FS / math.pi * kernel_K_closed(geom.T, geom.r0)
 
 
-def w_total_parallel(
-    geom: ParallelGeometry,
-    wp: Wavepacket,
-    cfg: QuadratureConfig | None = None,
-) -> DecoherenceResult:
+def w_total_parallel(geom: ParallelGeometry, kappa: float, ell: float) -> DecoherenceResult:
     """Total exponent and contrast for parallel paths, exact kernel branch.
 
     For T >> r0 >> ell the total approaches the flight-time-independent
     plateau (alpha/pi) [2 ln(r0/ell) - kappa].
     """
-    notes = check_regime(geom, wp)
-    kap = kappa(wp, cfg).value
-    wv = w_vacuum_parallel(geom, kap, characteristic_length(wp))
+    notes = check_regime(geom, ell)
+    require_finite({"kappa": kappa})
+    wv = w_vacuum_parallel(geom, kappa, ell)
     K = kernel_K_closed(geom.T, geom.r0)
     wg = ALPHA_FS / math.pi * K
-    return _result(wv, wg, {"kappa": kap, "K": K}, notes)
+    return _result(wv, wg, {"kappa": kappa, "K": K}, notes)
 
 
 def w_total_intersecting(
-    geom: IntersectingGeometry,
-    wp: Wavepacket,
-    cfg: QuadratureConfig | None = None,
-    *,
-    branch: str = "closed",
+    geom: IntersectingGeometry, kappa: float, ell: float, *, branch: str = "closed"
 ) -> DecoherenceResult:
     """Total exponent and contrast for the V geometry.
 
@@ -188,16 +181,14 @@ def w_total_intersecting(
     assembled: exact cross terms J_ab and I_ab, the principal-value I_aa
     and the full coincident kernel for the bb piece; slower, carries the
     I_aa quadrature error budget, and retains the O(ell/L1, L1/L2)
-    remainders that the closed branch drops.  cfg reaches kappa only; the
-    numeric I_aa keeps its own tolerances.
+    remainders that the closed branch drops.
     """
     if branch not in ("closed", "assembled"):
         raise ValueError(f"unknown branch: {branch!r}")
-    notes = check_regime(geom, wp)
-    kap = kappa(wp, cfg).value
-    ell = characteristic_length(wp)
-    J_aa = segment_J_straight(geom.L1, ell, geom.v, kap)
-    J_bb = segment_J_straight(geom.L2, ell, geom.v, kap)
+    notes = check_regime(geom, ell)
+    require_finite({"kappa": kappa})
+    J_aa = segment_J_straight(geom.L1, ell, geom.v, kappa)
+    J_bb = segment_J_straight(geom.L2, ell, geom.v, kappa)
     if branch == "closed":
         J_ab = segment_J_ab_closed(geom, ell, asymptotic=True)
         I_aa = segment_I_aa(geom, ell)
@@ -212,7 +203,7 @@ def w_total_intersecting(
     I = 2.0 * I_aa + I_bb + 4.0 * I_ab
     half_a = 0.5 * ALPHA_FS / math.pi
     breakdown = {
-        "kappa": kap,
+        "kappa": kappa,
         "J_aa": J_aa,
         "J_bb": J_bb,
         "J_ab": J_ab,
@@ -263,14 +254,16 @@ def max_flight_distance(inp: ValidityInput) -> float:
     return bound
 
 
-def check_regime(geom: ParallelGeometry | IntersectingGeometry, wp: Wavepacket) -> list[str]:
-    """Separation-of-scales audit; returns human-readable violation notes.
+def check_regime(geom: ParallelGeometry | IntersectingGeometry, ell: float) -> list[str]:
+    """Separation-of-scales audit for a packet of size ell; returns
+    human-readable violation notes.
 
     The notes are the only report of regime problems: every exponent is
     computed whatever they say, and the results carry them as .notes.
     The checks are scale-ratio comparisons and so unit-free.
     """
-    ell = characteristic_length(wp)
+    if not 0.0 < ell < math.inf:
+        raise ValueError("ell must be positive and finite")
     notes: list[str] = []
     if isinstance(geom, ParallelGeometry):
         if geom.r0 < 10.0 * ell:

@@ -48,6 +48,14 @@ log-average of coincident transverse positions.  They tend to
 F -> ln(R b/ell).  Each is O(1), so their cancellation costs only
 absolute rounding and the form holds over the whole float range.
 
+Near the flat disk, kappa = -1/2 - 2 ln 2 + (beta^2/3) [ln(1/beta) + c] +
+O(beta^3) with c = ln 2 + 12 C1 + D/2 = 7/12.  For beta < 2, F - ln(b/2) =
+g(b/beta) with g(q) = 1/2 (1 - q^2) ln(1 + 1/q^2) + 2 q arctan(1/q) - 3/2
+~ 1/(12 q^2), averaged against the disk line-picking density P(b) =
+(4b/pi) [arccos(b/2) - (b/2) sqrt(1 - b^2/4)] = 2b + O(b^2) (Solomon
+1978): the 2b part gives C1 = lim_Q [int_0^Q q g dq - ln(Q)/12] = 13/144,
+and the rest D = int_0^2 (P(b) - 2b)/b^2 db = -(1 + 2 ln 2).
+
 A brute-force Monte-Carlo estimate of the six-dimensional average serves as
 the independent oracle for the quadrature path.
 """

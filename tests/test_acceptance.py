@@ -136,10 +136,10 @@ def test_criterion_04_long_time_asymptote():
 
 
 def test_criterion_05_parallel_plateau():
-    wp = UniformSphere(radius=0.5)  # ell = 1, so r0 = 100 ell
+    sphere = (-1.5, 1.0)  # (kappa, ell) of a sphere of radius 0.5, so r0 = 100 ell
     r0 = 100.0
-    w4 = w_total_parallel(ParallelGeometry(r0=r0, T=1e4 * r0, v=0.01), wp).w_total
-    w5 = w_total_parallel(ParallelGeometry(r0=r0, T=1e5 * r0, v=0.01), wp).w_total
+    w4 = w_total_parallel(ParallelGeometry(r0=r0, T=1e4 * r0, v=0.01), *sphere).w_total
+    w5 = w_total_parallel(ParallelGeometry(r0=r0, T=1e5 * r0, v=0.01), *sphere).w_total
     drift = abs(w4 - w5) / abs(w5)
     plateau = ALPHA / math.pi * (2.0 * math.log(100.0) + 1.5)
     gap = abs(w5 - plateau) / plateau
@@ -163,9 +163,9 @@ def test_criterion_06_intersecting_cancellation():
     bracket_rel = abs(bracket - target) / abs(target)
 
     geom_L2 = IntersectingGeometry(L1=100.0, L2=100_000.0, theta=0.5, v=0.01)
-    base = w_total_intersecting(geom, UniformSphere(radius=0.5)).w_total
-    ell_x10 = w_total_intersecting(geom, UniformSphere(radius=5.0)).w_total
-    L2_x10 = w_total_intersecting(geom_L2, UniformSphere(radius=0.5)).w_total
+    base = w_total_intersecting(geom, -1.5, ell).w_total
+    ell_x10 = w_total_intersecting(geom, -1.5, 10.0 * ell).w_total
+    L2_x10 = w_total_intersecting(geom_L2, -1.5, ell).w_total
     inv = max(abs(ell_x10 - base), abs(L2_x10 - base)) / abs(base)
     ok = bracket_rel <= 1e-12 and inv <= 1e-12
     _report(
@@ -216,7 +216,7 @@ def test_criterion_07_segment_integral_oracles(I_ab_pv_in_u):
 
 def test_criterion_08_contrast_magnitude():
     geom = IntersectingGeometry(L1=100.0, L2=10_000.0, theta=THETA_NEAR_RIGHT, v=0.1)
-    res = w_total_intersecting(geom, UniformSphere(radius=0.5))
+    res = w_total_intersecting(geom, -1.5, 1.0)
     change = abs(res.contrast - 1.0)
     ok = abs(res.w_total - 0.022) < 5e-4 and 0.01 <= change <= 0.03
     _report(
@@ -268,9 +268,9 @@ def test_assembled_cancellation_residual_is_linear_in_ell_over_L1():
     ratios = (1e-3, 1e-2, 1e-1)
     residual = []
     for ratio in ratios:
-        wp = UniformSphere(radius=0.5 * ratio * geom.L1)
-        assembled = w_total_intersecting(geom, wp, branch="assembled").w_total
-        residual.append(assembled - w_total_intersecting(geom, wp).w_total)
+        ell = ratio * geom.L1  # a sphere's diameter
+        assembled = w_total_intersecting(geom, -1.5, ell, branch="assembled").w_total
+        residual.append(assembled - w_total_intersecting(geom, -1.5, ell).w_total)
     slopes = [
         math.log(residual[i + 1] / residual[i]) / math.log(ratios[i + 1] / ratios[i])
         for i in range(len(ratios) - 1)

@@ -285,11 +285,47 @@ class TestIntersectCommand:
         ells = [float(line.split(",")[0]) for line in lines[1:]]
         assert ells == sorted(ells)
 
+    def test_ell_sweep_integrates_kappa_once(self, capsys, monkeypatch):
+        from edecoh import wavepacket
+
+        calls = []
+        real = wavepacket.kappa
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "kappa", counted)
+        argv = ["intersect", "--shape", "cylinder", "--radius", "0.3", "--length", "0.7"]
+        rc, out, _ = _run(capsys, [*argv, "--ell-sweep"])
+        assert rc == 0
+        assert len(out.splitlines()) == 6
+        assert len(calls) == 1
+
+    def test_subnormal_cylinder_sweep_keeps_the_column_flat(self, capsys):
+        # each scaled ell is rounded once and kappa is taken at the exact
+        # L/R, so subnormal sizes leave the closed total as it is
+        argv = ["intersect", "--shape", "cylinder", "--radius", "1e-320", "--length", "1e-318"]
+        rc, out, _ = _run(capsys, [*argv, "--ell-sweep"])
+        assert rc == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 5
+        assert len({row.split(",")[3] for row in rows}) == 1
+
+    @pytest.mark.parametrize("radius", ["1e306", "5e-324"], ids=["overflow", "underflow"])
+    def test_ell_sweep_out_of_the_float_range_names_radius(self, capsys, radius):
+        rc, out, err = _run(capsys, ["intersect", "--radius", radius, "--ell-sweep"])
+        assert (rc, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --ell-sweep ")
+        assert " radius" in lines[0]
+
     def test_assembled_ell_sweep_reaching_L1_exits_2_before_any_work(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise AssertionError("the sweep ran before it was validated")
 
         monkeypatch.setattr("edecoh.decoherence.w_total_intersecting", explode)
+        monkeypatch.setattr("edecoh.wavepacket.kappa", explode)
         rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--ell-sweep"])
         assert rc == 2
         assert out == ""

@@ -30,10 +30,10 @@ from edecoh.decoherence import (
     w_vacuum_parallel,
 )
 from edecoh.kernels import K_EQUAL_ARGS_LIMIT, segment_J_ab_closed, segment_J_straight
-from edecoh.wavepacket import UniformSphere
 
 ALPHA = ALPHA_FS
-SPHERE_ELL_1 = UniformSphere(0.5)
+# (kappa, ell) of a uniform sphere of radius 0.5
+SPHERE_ELL_1 = (-1.5, 1.0)
 
 
 def _vacuum_exact_J_ab(geom: IntersectingGeometry) -> float:
@@ -66,6 +66,20 @@ class TestInputs:
         with pytest.raises(ValueError, match="L1 must be finite"):
             IntersectingGeometry(L1=math.inf, L2=10.0, theta=0.5, v=0.1)
 
+    def test_packet_numbers_are_checked(self):
+        par = ParallelGeometry(r0=100.0, T=1e6, v=0.01)
+        geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
+        for ell in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="ell must be positive and finite"):
+                w_total_parallel(par, -1.5, ell)
+            with pytest.raises(ValueError, match="ell must be positive and finite"):
+                w_total_intersecting(geom, -1.5, ell)
+        for kappa in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                w_total_parallel(par, kappa, 1.0)
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                w_total_intersecting(geom, kappa, 1.0)
+
     def test_validity_input_validation(self):
         with pytest.raises(ValueError):
             ValidityInput(energy=-1.0, dx0=1e-6)
@@ -82,9 +96,8 @@ class TestParallel:
         geom = ParallelGeometry(r0=1.0, T=1.0, v=0.1)
         assert w_vacuum_parallel(geom, 2.0, 1.0) == 0.0
         # T = ell here, which the regime notes report
-        assert "flight time T is within a factor 10 of the wavepacket size" in check_regime(
-            geom, SPHERE_ELL_1
-        )
+        notes = check_regime(geom, 1.0)
+        assert "flight time T is within a factor 10 of the wavepacket size" in notes
 
     def test_vacuum_sphere_value(self):
         geom = ParallelGeometry(r0=10.0, T=100.0, v=0.1)
@@ -124,7 +137,7 @@ class TestParallel:
 
     def test_total_plateau_value(self):
         geom = ParallelGeometry(r0=100.0, T=1e6, v=0.01)
-        res = w_total_parallel(geom, SPHERE_ELL_1)
+        res = w_total_parallel(geom, *SPHERE_ELL_1)
         plateau = ALPHA / math.pi * (2.0 * math.log(100.0) + 1.5)
         assert abs(res.w_total - plateau) <= 0.005 * plateau
         assert abs(res.w_total - 0.024880) < 1e-5
@@ -132,12 +145,12 @@ class TestParallel:
         assert res.breakdown["kappa"] == -1.5
 
     def test_total_flight_time_independence(self):
-        a = w_total_parallel(ParallelGeometry(r0=100.0, T=1e6, v=0.01), SPHERE_ELL_1)
-        b = w_total_parallel(ParallelGeometry(r0=100.0, T=1e7, v=0.01), SPHERE_ELL_1)
+        a = w_total_parallel(ParallelGeometry(r0=100.0, T=1e6, v=0.01), *SPHERE_ELL_1)
+        b = w_total_parallel(ParallelGeometry(r0=100.0, T=1e7, v=0.01), *SPHERE_ELL_1)
         assert abs(a.w_total - b.w_total) < 1e-3 * abs(a.w_total)
 
     def test_result_additivity_and_contrast(self):
-        res = w_total_parallel(ParallelGeometry(r0=100.0, T=1e6, v=0.01), SPHERE_ELL_1)
+        res = w_total_parallel(ParallelGeometry(r0=100.0, T=1e6, v=0.01), *SPHERE_ELL_1)
         assert res.w_total == res.w_vacuum + res.w_photon
         assert res.contrast == math.exp(res.w_total)
         assert res.contrast > 0.0
@@ -158,7 +171,7 @@ THETA_NEAR_RIGHT = 0.5 * math.pi * (1.0 - 1e-12)
 class TestIntersecting:
     def test_closed_total_matches_telescoped_form(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.7, v=0.05)
-        res = w_total_intersecting(geom, SPHERE_ELL_1)
+        res = w_total_intersecting(geom, *SPHERE_ELL_1)
         expect = (
             0.5
             * ALPHA
@@ -169,7 +182,7 @@ class TestIntersecting:
 
     def test_magnitude_and_contrast_band(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=THETA_NEAR_RIGHT, v=0.1)
-        res = w_total_intersecting(geom, SPHERE_ELL_1)
+        res = w_total_intersecting(geom, *SPHERE_ELL_1)
         expect = 0.5 * ALPHA / math.pi * (2.0 * math.log(200.0) + 8.5)
         assert math.isclose(res.w_total, expect, rel_tol=1e-12)
         assert abs(res.w_total - 0.02218) < 1e-5
@@ -177,29 +190,29 @@ class TestIntersecting:
 
     def test_wavepacket_size_cancels_exactly(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.9, v=0.1)
-        small = w_total_intersecting(geom, UniformSphere(0.5))
-        large = w_total_intersecting(geom, UniformSphere(5.0))
+        small = w_total_intersecting(geom, -1.5, 1.0)
+        large = w_total_intersecting(geom, -1.5, 10.0)
         assert math.isclose(small.w_total, large.w_total, rel_tol=1e-12)
 
     def test_long_arm_cancels_exactly(self):
         a = w_total_intersecting(
-            IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.9, v=0.1), SPHERE_ELL_1
+            IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.9, v=0.1), *SPHERE_ELL_1
         )
         b = w_total_intersecting(
-            IntersectingGeometry(L1=100.0, L2=100000.0, theta=0.9, v=0.1), SPHERE_ELL_1
+            IntersectingGeometry(L1=100.0, L2=100000.0, theta=0.9, v=0.1), *SPHERE_ELL_1
         )
         assert math.isclose(a.w_total, b.w_total, rel_tol=1e-12)
 
     def test_vacuum_asymptotic_branch_closed_form(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.1)
-        wv = w_total_intersecting(geom, SPHERE_ELL_1).w_vacuum
+        wv = w_total_intersecting(geom, *SPHERE_ELL_1).w_vacuum
         expect = 0.5 * ALPHA / math.pi * (3.0 * 3.5 + 2.0 * math.log(1e4 / (1.0 * 0.1**3)))
         assert math.isclose(wv, expect, rel_tol=1e-12)
 
     def test_vacuum_exact_branch_near_asymptotic(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.1)
         exact = _vacuum_exact_J_ab(geom)
-        asym = w_total_intersecting(geom, SPHERE_ELL_1).w_vacuum
+        asym = w_total_intersecting(geom, *SPHERE_ELL_1).w_vacuum
         assert abs(exact - asym) < 0.01 * abs(asym)
 
     def test_vacuum_short_arm_cancellation(self):
@@ -210,7 +223,7 @@ class TestIntersecting:
 
     def test_photon_telescoped_form(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=THETA_NEAR_RIGHT, v=0.1)
-        wg = w_total_intersecting(geom, SPHERE_ELL_1).w_photon
+        wg = w_total_intersecting(geom, *SPHERE_ELL_1).w_photon
         expect = -ALPHA / math.pi * (1.0 - math.log(2.0) + math.log(1e5))
         assert math.isclose(wg, expect, rel_tol=1e-12)
         assert wg < 0.0
@@ -224,21 +237,21 @@ class TestIntersecting:
     @settings(max_examples=40, deadline=None)
     def test_photon_always_decoheres_in_regime(self, theta, v, l2_over_l1):
         geom = IntersectingGeometry(L1=100.0, L2=100.0 * l2_over_l1, theta=theta, v=v)
-        assert w_total_intersecting(geom, SPHERE_ELL_1).w_photon < 0.0
+        assert w_total_intersecting(geom, *SPHERE_ELL_1).w_photon < 0.0
 
     def test_assembled_branch_agrees_with_closed(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
-        closed = w_total_intersecting(geom, SPHERE_ELL_1)
-        assembled = w_total_intersecting(geom, SPHERE_ELL_1, branch="assembled")
+        closed = w_total_intersecting(geom, *SPHERE_ELL_1)
+        assembled = w_total_intersecting(geom, *SPHERE_ELL_1, branch="assembled")
         assert abs(assembled.w_total - closed.w_total) < 0.01 * abs(closed.w_total)
         for key in ("J_aa", "J_bb", "J_ab", "I_aa", "I_bb", "I_ab"):
             assert key in assembled.breakdown
         with pytest.raises(ValueError):
-            w_total_intersecting(geom, SPHERE_ELL_1, branch="exact")
+            w_total_intersecting(geom, *SPHERE_ELL_1, branch="exact")
 
     def test_additivity(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.1)
-        res = w_total_intersecting(geom, SPHERE_ELL_1)
+        res = w_total_intersecting(geom, *SPHERE_ELL_1)
         assert res.w_total == res.w_vacuum + res.w_photon
 
 
@@ -299,20 +312,20 @@ class TestValidity:
 
     def test_check_regime_clean(self):
         geom = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.01)
-        assert check_regime(geom, SPHERE_ELL_1) == []
+        assert check_regime(geom, 1.0) == []
         par = ParallelGeometry(r0=100.0, T=1e4 * 100.0, v=0.01)
-        assert check_regime(par, SPHERE_ELL_1) == []
+        assert check_regime(par, 1.0) == []
 
     def test_check_regime_flags_scale_violations(self):
         geom = IntersectingGeometry(L1=2.0, L2=10000.0, theta=0.5, v=0.01)
-        notes = check_regime(geom, SPHERE_ELL_1)
+        notes = check_regime(geom, 1.0)
         assert any("L1" in n for n in notes)
         fast = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.5, v=0.9)
-        assert any("nonrelativistic" in n for n in check_regime(fast, SPHERE_ELL_1))
+        assert any("nonrelativistic" in n for n in check_regime(fast, 1.0))
         # one condition at a time, each with its own note
         short_arm = IntersectingGeometry(L1=100.0, L2=500.0, theta=0.5, v=0.01)
-        assert check_regime(short_arm, SPHERE_ELL_1) == ["L2 is within a factor 10 of L1"]
+        assert check_regime(short_arm, 1.0) == ["L2 is within a factor 10 of L1"]
         wide = IntersectingGeometry(L1=100.0, L2=10000.0, theta=0.9, v=0.29)
-        assert check_regime(wide, SPHERE_ELL_1) == [
+        assert check_regime(wide, 1.0) == [
             "v sin(theta) exceeds 0.2; small-speed kernels lose accuracy"
         ]

@@ -101,6 +101,16 @@ def test_importing_the_package_loads_no_numpy():
     assert proc.stdout.split() == ["False"]
 
 
+def test_decoherence_loads_no_wavepacket():
+    # the exponents take a packet as its shape constant and size, two numbers
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, edecoh.decoherence; print('edecoh.wavepacket' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("name", sorted(set(edecoh.__all__) - {"__version__"}))
 def test_each_export_is_its_defining_modules_object(name):
     module = importlib.import_module(f"edecoh.{edecoh._EXPORTS[name]}")

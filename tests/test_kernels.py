@@ -37,7 +37,6 @@ from edecoh.kernels import (
     segment_J_ab_closed,
     segment_J_straight,
 )
-from edecoh.wavepacket import UniformSphere
 
 
 def _geom(L1=1.0, L2=100.0, theta=0.5, v=0.1) -> IntersectingGeometry:
@@ -113,7 +112,7 @@ class TestInputs:
     def test_segment_pair_soft_warnings(self):
         # the three soft scale conditions are reported as check_regime notes
         def notes(ell, **kw):
-            return check_regime(_geom(**kw), UniformSphere(0.5 * ell))
+            return check_regime(_geom(**kw), ell)
 
         assert "L1 is within a factor 10 of the wavepacket size" in notes(
             0.5, L1=1.0, L2=100.0, v=0.1, theta=0.5
