@@ -64,7 +64,7 @@ def require_finite(fields: Mapping[str, float]) -> None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances shared by all integration routines.
+    """Tolerances of the generic integrators; each physics routine states its own.
 
     rel_tol may not go below 4 eps, the floor the pieces of a principal
     value already get.

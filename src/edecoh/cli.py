@@ -37,7 +37,6 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .base import QuadratureConfig
     from .wavepacket import Wavepacket
 
 _UNIT_M = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
@@ -131,14 +130,6 @@ def _apply_config(path: str, subparsers: dict[str, argparse.ArgumentParser]) -> 
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _quad_cfg(args: argparse.Namespace) -> QuadratureConfig | None:
-    if args.rel_tol is None:
-        return None
-    from .base import QuadratureConfig
-
-    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=max(args.rel_tol * 1e-3, 4e-16))
-
-
 def _wavepacket(args: argparse.Namespace) -> Wavepacket:
     from .wavepacket import UniformCylinder, UniformSphere
 
@@ -178,7 +169,6 @@ def _print_result(stream: _OutStream, result) -> None:
 def cmd_kappa_sweep(args: argparse.Namespace, out: _OutStream) -> int:
     from .wavepacket import UniformCylinder, kappa
 
-    cfg = _quad_cfg(args)
     betas: list[float] = []
     if args.shape == "cylinder":
         betas = _grid(args.beta_min, args.beta_max, args.steps, args.log_spacing)
@@ -192,7 +182,7 @@ def cmd_kappa_sweep(args: argparse.Namespace, out: _OutStream) -> int:
         out.line("-,-1.5,0")
         return 0
     for beta in betas:
-        res = kappa(UniformCylinder(radius=1.0, length=beta), cfg)
+        res = kappa(UniformCylinder(radius=1.0, length=beta))
         out.line(f"{_fmt(beta)},{_fmt(res.value)},{_fmt(res.error_estimate)}")
     return 0
 
@@ -208,13 +198,12 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
 
     geom = ParallelGeometry(r0=args.r0, T=args.T, v=args.v)
     wp = _wavepacket(args)
-    cfg = _quad_cfg(args)
     grid: list[float] = []
     if args.sweep is not None:
         lo = args.sweep_min if args.sweep_min is not None else 10.0 * geom.r0
         hi = args.sweep_max if args.sweep_max is not None else 1e4 * geom.r0
         grid = _grid(lo, hi, args.sweep_steps, args.log_spacing)
-    kap = kappa(wp, cfg).value
+    kap = kappa(wp).value
     ell = characteristic_length(wp)
     if args.sweep is None:
         _print_result(out, w_total_parallel(geom, kap, ell))
@@ -234,7 +223,6 @@ def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
 
     geom = IntersectingGeometry(L1=args.L1, L2=args.L2, theta=args.theta, v=args.v)
     wp = _wavepacket(args)
-    cfg = _quad_cfg(args)
     ell = characteristic_length(wp)
     # kappa depends on the packet's shape alone: the sweep scales ell only,
     # and every scaled ell is checked before any work
@@ -246,6 +234,13 @@ def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
             f"out of the float range; change the {inputs}"
         )
     if args.branch == "assembled":
+        # the exact cross terms and the numeric I_aa run over the flight
+        # times L1/v and L2/v and their sum
+        if geom.T1 + geom.T2 == math.inf:
+            raise ValueError(
+                f"the flight time (L1 + L2)/v overflows at L1 = {_fmt(geom.L1)}, "
+                f"L2 = {_fmt(geom.L2)}, v = {_fmt(geom.v)}; the assembled branch needs it finite"
+            )
         # the numeric I_aa cuts off at flight time ell/v, inside the short
         # arm's flight time L1/v
         for scaled in sweep:
@@ -254,7 +249,7 @@ def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
                     f"--ell-sweep reaches ell = {_fmt(scaled)}, not below L1 = {_fmt(geom.L1)}; "
                     "the assembled branch needs ell < L1"
                 )
-    kap = kappa(wp, cfg).value
+    kap = kappa(wp).value
     if not args.ell_sweep:
         _print_result(out, w_total_intersecting(geom, kap, ell, branch=args.branch))
         return 0
@@ -265,7 +260,7 @@ def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
     return 0
 
 
-def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
+def _verify_kernels() -> list[tuple[str, bool, str]]:
     import numpy as np
 
     from .base import QuadratureConfig
@@ -281,12 +276,11 @@ def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     )
     from .quadrature import integrate_1d
 
-    cfg = _quad_cfg(args)
     checks: list[tuple[str, bool, str]] = []
 
     worst = 0.0
     for ratio in (1.5, 2.0, 5.0, 10.0, 100.0):
-        res = kernel_K_numeric(ratio, 1.0, cfg)
+        res = kernel_K_numeric(ratio, 1.0)
         rel = abs(res.value - kernel_K_closed(ratio, 1.0)) / abs(res.value)
         worst = max(worst, rel if res.converged else math.inf)
     checks.append(
@@ -298,7 +292,7 @@ def _verify_kernels(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     )
 
     # at T = rho the integrand collapses to -2/(tau + T); no pole survives
-    limit = integrate_1d(lambda tau: -2.0 / (tau + 1.0), 0.0, 1.0, cfg)
+    limit = integrate_1d(lambda tau: -2.0 / (tau + 1.0), 0.0, 1.0)
     diff = abs(limit.value - K_EQUAL_ARGS_LIMIT)
     checks.append(
         (
@@ -373,7 +367,6 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
         kappa_numeric,
     )
 
-    cfg = _quad_cfg(args)
     checks: list[tuple[str, bool, str]] = []
 
     exact = kappa(UniformSphere(radius=1.0))
@@ -385,7 +378,7 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
         )
     )
 
-    numeric = kappa_numeric(UniformSphere(radius=1.0), cfg)
+    numeric = kappa_numeric(UniformSphere(radius=1.0))
     diff = abs(numeric.value + 1.5)
     checks.append(
         ("sphere reduced quadrature", diff <= 1e-6, f"|kappa + 3/2| = {diff:.3g}")
@@ -403,7 +396,7 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
 
     for beta in (1.0, 4.0):
         wp = UniformCylinder(radius=1.0, length=beta)
-        quad = kappa(wp, cfg)
+        quad = kappa(wp)
         mc = kappa_bruteforce_oracle(wp, samples=400_000, seed=args.seed)
         pull = abs(quad.value - mc.value) / mc.error_estimate
         checks.append(
@@ -419,7 +412,7 @@ def _verify_kappa(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
 def cmd_verify(args: argparse.Namespace, out: _OutStream) -> int:
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("kernels", "all"):
-        checks.extend(_verify_kernels(args))
+        checks.extend(_verify_kernels())
     if args.suite in ("kappa", "all"):
         checks.extend(_verify_kappa(args))
     width = max(len(name) for name, _, _ in checks)
@@ -453,15 +446,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--config", metavar="FILE", help="flat key=value file of flag defaults")
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
-        "--rel-tol",
-        type=float,
-        default=None,
-        help="relative tolerance of the cylinder kappa quadrature and of verify's own "
-        "quadratures; the assembled branch's numeric I_aa keeps its fixed tolerance",
-    )
-
     shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument(
         "--shape", choices=("sphere", "cylinder"), default="sphere", help="wavepacket shape"
@@ -479,7 +463,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "kappa-sweep",
-        parents=[common, tol],
+        parents=[common],
         help="wavepacket shape constant on an aspect-ratio grid",
         description="CSV columns: beta (cylinder aspect ratio L/R, '-' for the "
         "sphere), kappa (shape constant), error_estimate (quadrature error). "
@@ -495,7 +479,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "parallel",
-        parents=[common, tol, shape],
+        parents=[common, shape],
         help="two parallel paths a distance r0 apart",
         description="Prints the kappa and kernel breakdown, w_vacuum, w_photon, "
         "w_total and contrast. With --sweep T emits CSV columns: T (flight "
@@ -514,7 +498,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "intersect",
-        parents=[common, tol, shape],
+        parents=[common, shape],
         help="V geometry: short arm L1 and long arm L2 meeting at angle theta",
         description="Prints the kappa/J/I breakdown, w_vacuum, w_photon, w_total "
         "and contrast. With --ell-sweep emits CSV columns: ell (wavepacket "
@@ -542,7 +526,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser(
         "verify",
-        parents=[common, tol],
+        parents=[common],
         help="closed form vs independent quadrature, pass/fail table",
         description="Exit code 0 iff every comparison passes, 1 otherwise.",
     )

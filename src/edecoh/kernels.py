@@ -154,10 +154,9 @@ def kernel_K_closed(T: float, rho: float) -> float:
     return first - math.log1p(-x * x) - 2.0 * log_ratio((T,), (rho,))
 
 
-def kernel_K_numeric(
-    T: float, rho: float, cfg: QuadratureConfig | None = None
-) -> IntegrationResult:
-    """Principal-value evaluation of the defining integral of K.
+def kernel_K_numeric(T: float, rho: float) -> IntegrationResult:
+    """Principal-value evaluation of the defining integral of K, at the
+    tolerances of the default QuadratureConfig().
 
     The integrand 2 (T - tau)/(tau^2 - rho^2) has a simple pole at
     tau = rho, inside the range only when rho < T; for rho > T the plain
@@ -171,7 +170,7 @@ def kernel_K_numeric(
     def f(tau):
         return 2.0 * (T - tau) / (tau * tau - rho * rho)
 
-    return pv_integrate_1d(f, 0.0, T, [rho], cfg)
+    return pv_integrate_1d(f, 0.0, T, [rho])
 
 
 def segment_J_ab_closed(

@@ -4,8 +4,8 @@ One-dimensional integrals use a globally adaptive Gauss-Kronrod 7/15 scheme:
 the worst panel (largest Gauss-vs-Kronrod discrepancy) is bisected until the
 summed error estimate meets tolerance or the subdivision budget runs out.
 One private driver runs that loop on many independent integrals in lockstep:
-each keeps its own panels, tolerance and budget, so it refines exactly as it
-would alone, but every round evaluates the new panels of all unfinished
+each keeps its own panels and tolerance, so it refines exactly as it would
+alone, but every round evaluates the new panels of all unfinished
 integrals with a single integrand call.  A plain integral is the batch of
 one; the pieces of a batch of principal values and the azimuthal integrals
 of the cylinder shape constant are batches of many.
@@ -132,15 +132,15 @@ def _tolerance(rel_tol: float, abs_tol: float) -> Callable[[float], float]:
 def _adapt_many(
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     meshes: Sequence[Sequence[float]],
-    cfgs: Sequence[tuple[Callable[[float], float], int]],
+    tolerances: Sequence[Callable[[float], float]],
 ) -> list[IntegrationResult]:
     """Globally adaptive Gauss-Kronrod on independent integrals in lockstep.
 
-    Integral i starts from the sorted edges meshes[i] and refines under
-    cfgs[i] = (tolerance, split budget), tolerance(value) being the error
-    it may keep at its running value, with its own heap, so it makes exactly
-    the decisions it would make alone: while the summed error exceeds the
-    tolerance and the split budget lasts, bisect the worst panel,
+    Integral i starts from the sorted edges meshes[i] and refines with its
+    own heap, tolerances[i](value) being the error it may keep at its
+    running value, so it makes exactly the decisions it would make alone:
+    while the summed error exceeds the tolerance and _MAX_SPLITS bisections
+    have not been spent, bisect the worst panel,
     freezing panels too narrow to split or with zero error.  Each round
     evaluates the new panels of every unfinished integral with one call
     evaluate(x, owner), where owner[j] is the index of the integral that
@@ -176,12 +176,11 @@ def _adapt_many(
         owners, los, his = [], [], []
         for i in active:
             heap = heaps[i]
-            tolerance, budget = cfgs[i]
             while True:
                 total_v = math.fsum(h[4] for h in heap) + math.fsum(v for v, _ in frozen[i])
                 total_e = math.fsum(h[5] for h in heap) + math.fsum(e for _, e in frozen[i])
-                converged = total_e <= tolerance(total_v)
-                if converged or splits[i] >= budget or not heap:
+                converged = total_e <= tolerances[i](total_v)
+                if converged or splits[i] >= _MAX_SPLITS or not heap:
                     results[i] = IntegrationResult(total_v, total_e, evals[i], converged)
                     break
                 _, _, lo, hi, v, e = heapq.heappop(heap)
@@ -224,11 +223,7 @@ def integrate_1d(
     edges = [a, b]
     if breakpoints:
         edges += [float(p) for p in breakpoints if a < p < b]
-    (res,) = _adapt_many(
-        lambda x, _owner: f(x),
-        [sorted(set(edges))],
-        [(cfg.tolerance, _MAX_SPLITS)],
-    )
+    (res,) = _adapt_many(lambda x, _owner: f(x), [sorted(set(edges))], [cfg.tolerance])
     return res
 
 
@@ -340,7 +335,7 @@ def _pv_many(
 
     # region outside the largest excisions
     meshes: list[tuple[float, float]] = []
-    cfgs: list[tuple[Callable[[float], float], int]] = []
+    tolerances: list[Callable[[float], float]] = []
     owners: list[int] = []
     for i, ((a, b), (interior, eps)) in enumerate(zip(intervals, planned)):
         edges = [a]
@@ -349,7 +344,7 @@ def _pv_many(
         edges.append(b)
         meshes += zip(edges[::2], edges[1::2])
         tol = _tolerance(piece_rel, piece_abs) if interior else cfg.tolerance
-        cfgs += [(tol, _MAX_SPLITS)] * (len(interior) + 1)
+        tolerances += [tol] * (len(interior) + 1)
         owners += [i] * (len(interior) + 1)
     n_base = len(meshes)
 
@@ -367,10 +362,7 @@ def _pv_many(
         mags = np.abs(y).reshape(probes.shape).max(axis=-1)
         floors = 64.0 * _EPS * mags * (outer_r - inner_r)
         meshes += zip(inner_r.ravel().tolist(), outer_r.ravel().tolist())
-        cfgs += [
-            (_tolerance(piece_rel, max(piece_abs, fl)), _MAX_SPLITS)
-            for fl in floors.ravel().tolist()
-        ]
+        tolerances += [_tolerance(piece_rel, max(piece_abs, fl)) for fl in floors.ravel().tolist()]
         owners += np.repeat(pole_owner, shrink.size - 1).tolist()
     shell_pole = np.repeat(at, shrink.size - 1)
     piece_owner = np.array(owners)
@@ -389,7 +381,7 @@ def _pv_many(
         out[fold] = y[m:m + t.size] + y[m + t.size:]
         return out
 
-    pieces = _adapt_many(evaluate_pieces, meshes, cfgs)
+    pieces = _adapt_many(evaluate_pieces, meshes, tolerances)
     results = []
     base_at = np.cumsum([0] + [k + 1 for k in n_poles]).tolist()
     shell_at = (n_base + (shrink.size - 1) * np.cumsum([0] + n_poles)).tolist()
@@ -451,7 +443,7 @@ def integrate_nd(
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("box sides need finite bounds lo <= hi")
     x_side, y_side = box
-    inner_cfg = (_tolerance(cfg.rel_tol * 0.1, cfg.abs_tol * 0.1), _MAX_SPLITS)
+    inner_tolerance = _tolerance(cfg.rel_tol * 0.1, cfg.abs_tol * 0.1)
     inner: list[IntegrationResult] = []
 
     def inner_error() -> float:
@@ -467,10 +459,10 @@ def integrate_nd(
 
     def inner_values(x: np.ndarray, _owner: np.ndarray) -> np.ndarray:
         for xi in x.tolist():
-            inner.extend(_adapt_many(lambda y, _o, xi=xi: f(xi, y), [y_side], [inner_cfg]))
+            inner.extend(_adapt_many(lambda y, _o, xi=xi: f(xi, y), [y_side], [inner_tolerance]))
         return np.array([res.value for res in inner[-x.size:]])
 
-    (top,) = _adapt_many(inner_values, [x_side], [(top_tolerance, _MAX_SPLITS)])
+    (top,) = _adapt_many(inner_values, [x_side], [top_tolerance])
     err = top.error_estimate + inner_error()
     converged = (
         top.converged and all(res.converged for res in inner) and err <= cfg.tolerance(top.value)

@@ -186,20 +186,20 @@ def cylinder_F(b2, beta: float):
 # phi = 0 when rho ~ rho' (b -> 0), so refinement is front-loaded there
 _PHI_BREAKPOINTS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.5)
 
-# default tolerance for the three-dimensional cylinder quadrature; tight
-# enough that the Monte-Carlo oracle error dominates any comparison, loose
-# enough to keep aspect-ratio sweeps fast
+# tolerance of the three-dimensional cylinder quadrature; tight enough that
+# the Monte-Carlo oracle error dominates any comparison, loose enough to
+# keep aspect-ratio sweeps fast
 _CYL_CFG = QuadratureConfig(rel_tol=5e-7, abs_tol=1e-9)
 
 
-def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
+def _cylinder_kappa(beta: float) -> IntegrationResult:
     import numpy as np
 
     from .quadrature import _MAX_EVALS, _MAX_SPLITS, _adapt_many, _tolerance, integrate_nd
 
     phi_mesh = (0.0, *_PHI_BREAKPOINTS, math.pi)
-    phi_rel = cfg.rel_tol * 1e-2
-    phi_cfg = (_tolerance(phi_rel, cfg.abs_tol * 1e-2), _MAX_SPLITS)
+    phi_rel = _CYL_CFG.rel_tol * 1e-2
+    phi_tolerance = _tolerance(phi_rel, _CYL_CFG.abs_tol * 1e-2)
     evals = [0]
     # summed errors of the azimuthal integrals, each weighted as its value
     # enters the outer integrand, and their count
@@ -213,11 +213,7 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
             rp = r2[owner]
             return cylinder_F(r1 * r1 + rp * rp - 2.0 * r1 * rp * np.cos(phi), beta)
 
-        results = _adapt_many(
-            F,
-            [phi_mesh] * r2.size,
-            [phi_cfg] * r2.size,
-        )
+        results = _adapt_many(F, [phi_mesh] * r2.size, [phi_tolerance] * r2.size)
         evals[0] += sum(res.evaluations for res in results)
         # an unconverged azimuthal integral leaves kappa uncertified, so the
         # levels above it need not run on
@@ -236,7 +232,7 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
         phi_err[1] += r2.size
         return np.array([2.0 * res.value * r1 * r2i for res, r2i in zip(results, radii)])
 
-    outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], cfg)
+    outer = integrate_nd(transverse, [(0.0, 1.0), (0.0, 1.0)], _CYL_CFG)
     scale = 4.0 / math.pi
     # as integrate_nd does for its inner level: the mean azimuthal error
     # times the area of the unit (rho, rho') square
@@ -248,12 +244,12 @@ def _cylinder_kappa(beta: float, cfg: QuadratureConfig) -> IntegrationResult:
     )
 
 
-def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> IntegrationResult:
+def kappa(wp: Wavepacket) -> IntegrationResult:
     """Shape constant of a wavepacket with ell = characteristic_length(wp).
 
     Spheres return the exact value -3/2 with no error and no evaluations.
-    Cylinders return the reduced three-dimensional quadrature's result;
-    NonConvergenceError propagates if the requested tolerance cannot be
+    Cylinders return the reduced three-dimensional quadrature's result at
+    the tolerance _CYL_CFG; NonConvergenceError propagates if it cannot be
     certified, or once the azimuthal integrals spend more than
     quadrature._MAX_EVALS evaluations.
     """
@@ -261,11 +257,11 @@ def kappa(wp: Wavepacket, cfg: QuadratureConfig | None = None) -> IntegrationRes
         return IntegrationResult(KAPPA_SPHERE, 0.0, 0, True)
     if not isinstance(wp, UniformCylinder):
         raise TypeError(f"unsupported wavepacket type: {type(wp).__name__}")
-    return require_converged(_cylinder_kappa(wp.beta, cfg or _CYL_CFG), "cylinder kappa")
+    return require_converged(_cylinder_kappa(wp.beta), "cylinder kappa")
 
 
-def kappa_numeric(wp: UniformSphere, cfg: QuadratureConfig | None = None) -> IntegrationResult:
-    """Sphere shape constant by quadrature, a check of the exact -3/2.
+def kappa_numeric(wp: UniformSphere) -> IntegrationResult:
+    """Sphere shape constant by quadrature to 1e-12, a check of the exact -3/2.
 
     The pair separation d of two uniform points of a ball of radius R has
     the density (ball line picking; Solomon, Geometric Probability, 1978)
@@ -290,7 +286,7 @@ def kappa_numeric(wp: UniformSphere, cfg: QuadratureConfig | None = None) -> Int
         return (3.0 * x * x / r) * (1.0 - 0.75 * x + x**3 / 16.0) * 2.0 * np.log(d / ell)
 
     return require_converged(
-        integrate_1d(integrand, 0.0, ell, cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)),
+        integrate_1d(integrand, 0.0, ell, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)),
         "sphere kappa",
     )
 

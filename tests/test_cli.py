@@ -14,7 +14,7 @@ import time
 import pytest
 
 from edecoh.cli import main
-from edecoh.quadrature import NonConvergenceError
+from edecoh.quadrature import NonConvergenceError, QuadratureConfig
 
 ALPHA = 7.2973525693e-3
 
@@ -70,14 +70,6 @@ class TestKappaSweep:
         )
         assert rc == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["3", "5"]
-
-    def test_rel_tol_below_four_eps_exits_2_at_once(self, capsys):
-        start = time.perf_counter()
-        rc, out, err = _run(capsys, ["kappa-sweep", "--rel-tol", "1e-300"])
-        assert rc == 2
-        assert out == ""
-        assert "rel_tol must be at least 4 eps" in err
-        assert time.perf_counter() - start < 10.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -144,16 +136,17 @@ class TestKappaSweep:
         for _, kap, err in rows:
             assert abs(kap - limit) <= err + slack
 
-    @pytest.mark.parametrize("rel_tol", ["1e-15", "1e-13"])
-    def test_tight_rel_tol_exits_3_in_bounded_time(self, capsys, rel_tol):
-        # at 1e-15 no azimuthal integral can meet its tolerance; at 1e-13
-        # they can, and the evaluation budget ends the row.  Both once ran
-        # without end
+    @pytest.mark.parametrize("rel_tol", [1e-15, 1e-13])
+    def test_kappa_budget_exits_3_in_bounded_time(self, capsys, monkeypatch, rel_tol):
+        # with kappa's tolerance tightened to 1e-15 no azimuthal integral can
+        # meet its own; at 1e-13 they can, and the evaluation budget ends the
+        # row.  Both once ran without end
+        monkeypatch.setattr(
+            "edecoh.wavepacket._CYL_CFG", QuadratureConfig(rel_tol=rel_tol, abs_tol=4e-16)
+        )
         start = time.perf_counter()
         rc, out, err = _run(
-            capsys,
-            ["kappa-sweep", "--rel-tol", rel_tol, "--beta-min", "1", "--beta-max", "4",
-             "--steps", "2"],
+            capsys, ["kappa-sweep", "--beta-min", "1", "--beta-max", "4", "--steps", "2"]
         )
         assert rc == 3
         assert out == "beta,kappa,error_estimate\n"
@@ -161,7 +154,7 @@ class TestKappaSweep:
         assert time.perf_counter() - start < 60.0
 
     def test_nonconvergence_exits_3_with_partial_output(self, capsys, tmp_path, monkeypatch):
-        def explode(wp, cfg=None):
+        def explode(wp):
             raise NonConvergenceError("kappa quadrature stalled")
 
         monkeypatch.setattr("edecoh.wavepacket.kappa", explode)
@@ -345,16 +338,28 @@ class TestIntersectCommand:
         assert out == ""
         assert f"ell = {2 * int(radius)} must lie {bound}" in err
 
-    def test_assembled_rel_tol_leaves_I_aa_alone(self, capsys):
-        # --rel-tol reaches cylinder kappa only; the numeric I_aa keeps its
-        # own tolerances, so a sphere packet prints what the default prints
-        rc, default, _ = _run(capsys, ["intersect", "--branch", "assembled"])
+    @pytest.mark.parametrize("sweep", [[], ["--ell-sweep"]], ids=["single", "ell-sweep"])
+    def test_assembled_flight_time_overflow_names_arms_and_v(self, capsys, sweep):
+        # at v = 0.01 both flight times L/v overflow; the closed branch needs
+        # none of them
+        argv = ["intersect", "--L1", "1e307", "--L2", "1e308", *sweep]
+        rc, out, _ = _run(capsys, argv)
         assert rc == 0
-        start = time.perf_counter()
-        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--rel-tol", "1e-6"])
-        assert (rc, err) == (0, "")
-        assert out == default
-        assert time.perf_counter() - start < 10.0
+        assert "0.0311683369059\n" in out  # the closed w_total
+        rc, out, err = _run(capsys, [*argv, "--branch", "assembled"])
+        assert (rc, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "(L1 + L2)/v overflows at L1 = 1e+307, L2 = 1e+308, v = 0.01" in lines[0]
+
+    def test_assembled_total_flight_time_overflow_exits_2(self, capsys):
+        # each arm's flight time is finite, their sum is not: J_ab and I_ab
+        # once failed on a math domain error and a NaN
+        argv = ["intersect", "--branch", "assembled", "--L1", "1e306", "--L2", "1.79e308",
+                "--v", "0.999"]
+        rc, out, err = _run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "(L1 + L2)/v overflows at L1 = 1e+306, L2 = 1.79e+308, v = 0.999" in err
 
     def test_assembled_branch_agrees_with_closed(self, capsys):
         rc_c, out_c, _ = _run(capsys, ["intersect"])
@@ -379,7 +384,6 @@ class TestIntersectCommand:
             (["intersect", "--radius", "inf"], "radius"),
             (["intersect", "--shape", "cylinder", "--length", "nan"], "length"),
             (["validity", "--energy-ev", "inf"], "energy"),
-            (["kappa-sweep", "--rel-tol", "inf"], "rel_tol"),
         ],
     )
     def test_non_finite_input_is_named(self, capsys, argv, name):
@@ -524,13 +528,15 @@ class TestConfigAndOutput:
             ["kappa-sweep", "--seed", "1"],
             ["parallel", "--unit", "nm"],
             ["validity", "--rel-tol", "1e-6"],
+            ["kappa-sweep", "--rel-tol", "1e-6"],
+            ["verify", "all", "--rel-tol", "1e-6"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
         rc, out, err = _run(capsys, argv)
         assert rc == 2
         assert out == ""
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_config_takes_any_spelling_argparse_accepts(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -547,6 +553,14 @@ class TestConfigAndOutput:
         rc, _, err = _run(capsys, ["parallel", "--config", str(cfg)])
         assert rc == 2
         assert "bogus_key" in err
+
+    def test_removed_rel_tol_config_key_exits_2(self, capsys, tmp_path):
+        # every quadrature runs at the tolerance its module states
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rel_tol = 1e-6\n")
+        rc, out, err = _run(capsys, ["kappa-sweep", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert "unknown config key: 'rel_tol'" in err
 
     def test_malformed_config_line_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

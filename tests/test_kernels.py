@@ -136,7 +136,7 @@ class TestCoincidentKernel:
     def test_closed_matches_pv_quadrature(self, ratio):
         T, rho = ratio, 1.0
         closed = kernel_K_closed(T, rho)
-        numeric = kernel_K_numeric(T, rho, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14))
+        numeric = kernel_K_numeric(T, rho)
         assert numeric.converged
         assert math.isclose(closed, numeric.value, rel_tol=1e-8)
 

@@ -220,8 +220,7 @@ class TestKappa:
     def test_cusp_at_aspect_ratio_two(self):
         # kappa is continuous across beta = 2 but the slope jumps by about
         # -1 because ell switches from 2R to L there
-        cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10)
-        k = {d: kappa(UniformCylinder(1.0, 2.0 + d), cfg).value for d in (-0.1, -0.05, 0.0, 0.05, 0.1)}
+        k = {d: kappa(UniformCylinder(1.0, 2.0 + d)).value for d in (-0.1, -0.05, 0.0, 0.05, 0.1)}
         assert abs(k[0.05] - k[-0.05]) < 0.08
         slope_left = (k[0.0] - k[-0.1]) / 0.1
         slope_right = (k[0.1] - k[0.0]) / 0.1
