@@ -21,10 +21,12 @@ and a usage error load nothing of the package beyond this module.
 A flat key=value config file (one assignment per line, '#' comments,
 keys mirroring the long flags of any command) can seed any flag's
 default; each command takes the keys it reads, and explicit flags win
-over the file.  --config takes any spelling of the flag that argparse
-accepts (--conf FILE, --con=FILE).  --out opens its file when the
-first line is written: a rejected input leaves an existing file as it
-was, and an unwritable path exits 2 once the first line is ready.
+over the file.  A value must be one of its flag's choices, and neither
+--help nor a positional argument has a key.  --config takes any
+spelling of the flag that argparse accepts (--conf FILE, --con=FILE).
+--out opens its file when the first line is written: a rejected input
+leaves an existing file as it was, and an unwritable path exits 2 once
+the first line is ready.
 """
 
 from __future__ import annotations
@@ -97,21 +99,37 @@ _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
 
 
+def _flags(sub: argparse.ArgumentParser) -> list[argparse.Action]:
+    """The actions a config key can seed: every flag but --help."""
+    return [
+        a for a in sub._actions if a.option_strings and not isinstance(a, argparse._HelpAction)
+    ]
+
+
 def _apply_config(path: str, subparsers: dict[str, argparse.ArgumentParser]) -> None:
-    """Push file values in as per-subcommand defaults; flags still override."""
+    """Push file values in as per-subcommand defaults; flags still override.
+
+    argparse checks `choices` only on the command line, so a file value is
+    checked against them here.
+    """
     cfg = _read_config(path)
     known: set[str] = set()
     for sub in subparsers.values():
-        known.update(a.dest for a in sub._actions)
+        known.update(a.dest for a in _flags(sub))
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown config key: {unknown[0]!r}")
     for sub in subparsers.values():
         defaults = {}
-        for action in sub._actions:
+        for action in _flags(sub):
             if action.dest not in cfg:
                 continue
             value = cfg[action.dest]
+            if action.choices is not None and value not in action.choices:
+                allowed = ", ".join(map(repr, action.choices))
+                raise ValueError(
+                    f"config key {action.dest!r} wants one of {allowed}, got {value!r}"
+                )
             if isinstance(action, argparse._StoreTrueAction):
                 word = value.lower()
                 if word in _TRUE_WORDS:
@@ -188,12 +206,7 @@ def cmd_kappa_sweep(args: argparse.Namespace, out: _OutStream) -> int:
 
 
 def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
-    from .decoherence import (
-        ParallelGeometry,
-        w_photon_parallel,
-        w_total_parallel,
-        w_vacuum_parallel,
-    )
+    from .decoherence import ParallelGeometry, w_total_parallel
     from .wavepacket import characteristic_length, kappa
 
     geom = ParallelGeometry(r0=args.r0, T=args.T, v=args.v)
@@ -210,10 +223,8 @@ def cmd_parallel(args: argparse.Namespace, out: _OutStream) -> int:
         return 0
     out.line("T,w_vacuum,w_photon,w_total")
     for T in grid:
-        g = ParallelGeometry(r0=geom.r0, T=T, v=geom.v)
-        wv = w_vacuum_parallel(g, kap, ell)
-        wg = w_photon_parallel(g)
-        out.line(f"{_fmt(T)},{_fmt(wv)},{_fmt(wg)},{_fmt(wv + wg)}")
+        res = w_total_parallel(ParallelGeometry(r0=geom.r0, T=T, v=geom.v), kap, ell)
+        out.line(f"{_fmt(T)},{_fmt(res.w_vacuum)},{_fmt(res.w_photon)},{_fmt(res.w_total)}")
     return 0
 
 
@@ -234,8 +245,8 @@ def cmd_intersect(args: argparse.Namespace, out: _OutStream) -> int:
             f"out of the float range; change the {inputs}"
         )
     if args.branch == "assembled":
-        # the exact cross terms and the numeric I_aa run over the flight
-        # times L1/v and L2/v and their sum
+        # the numeric I_aa and the full bb kernel take the flight times L1/v
+        # and L2/v; a finite sum keeps both finite
         if geom.T1 + geom.T2 == math.inf:
             raise ValueError(
                 f"the flight time (L1 + L2)/v overflows at L1 = {_fmt(geom.L1)}, "

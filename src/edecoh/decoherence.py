@@ -61,8 +61,6 @@ __all__ = [
     "DecoherenceResult",
     "ValidityInput",
     "RELATIVISTIC_NOTE",
-    "w_vacuum_parallel",
-    "w_photon_parallel",
     "w_total_parallel",
     "w_total_intersecting",
     "interference_pattern",
@@ -139,35 +137,23 @@ class ValidityInput:
         return self.energy > 0.05 * _ELECTRON_MASS_EV
 
 
-def w_vacuum_parallel(geom: ParallelGeometry, kappa: float, ell: float) -> float:
-    """Vacuum exponent of the parallel geometry (rest-frame flight time)
-    for a packet of shape constant kappa and size ell."""
-    a = ALPHA_FS / math.pi
-    return a * (2.0 - kappa + 2.0 * log_ratio((geom.T,), (ell,)))
-
-
-def w_photon_parallel(geom: ParallelGeometry) -> float:
-    """Photon exponent of the parallel geometry.
-
-    Keeps the full coincident kernel K(T, r0) and so is valid at any T/r0,
-    T = r0 included; its long-time form -2 (alpha/pi) [1 + ln(T/r0)] is good
-    to 1% for T/r0 of a few tens.
-    """
-    return ALPHA_FS / math.pi * kernel_K_closed(geom.T, geom.r0)
-
-
 def w_total_parallel(geom: ParallelGeometry, kappa: float, ell: float) -> DecoherenceResult:
-    """Total exponent and contrast for parallel paths, exact kernel branch.
+    """Exponents and contrast for parallel paths, for a packet of shape
+    constant kappa and size ell.
 
-    For T >> r0 >> ell the total approaches the flight-time-independent
-    plateau (alpha/pi) [2 ln(r0/ell) - kappa].
+    W_vacuum = (alpha/pi) [2 - kappa + 2 ln(T/ell)] in the rest-frame flight
+    time.  W_photon = (alpha/pi) K(T, r0) keeps the full coincident kernel
+    and so is valid at any T/r0, T = r0 included; its long-time form
+    -2 (alpha/pi) [1 + ln(T/r0)] is good to 1% for T/r0 of a few tens.  For
+    T >> r0 >> ell the total reaches the flight-time-independent plateau
+    (alpha/pi) [2 ln(r0/ell) - kappa].
     """
     notes = check_regime(geom, ell)
     require_finite({"kappa": kappa})
-    wv = w_vacuum_parallel(geom, kappa, ell)
+    a = ALPHA_FS / math.pi
+    wv = a * (2.0 - kappa + 2.0 * log_ratio((geom.T,), (ell,)))
     K = kernel_K_closed(geom.T, geom.r0)
-    wg = ALPHA_FS / math.pi * K
-    return _result(wv, wg, {"kappa": kappa, "K": K}, notes)
+    return _result(wv, a * K, {"kappa": kappa, "K": K}, notes)
 
 
 def w_total_intersecting(

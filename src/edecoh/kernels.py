@@ -40,7 +40,13 @@ Three kernel families enter the decoherence exponents:
       I_ab = G(T1 + T2) - G(T2) - G(T1) + G(0),
       G(u) = [(u - c) ln|u - c| - (u + c) ln|u + c|] / (2c),
 
-  with G'' = 1/(u^2 - c^2).  With s = v sin(theta), the small-v form
+  with G'' = 1/(u^2 - c^2).  In a = u/c, G = g(a) - ln c with
+  g(a) = [(a - 1) ln|a - 1| - (a + 1) ln(a + 1)] / 2, and the four ln c
+  cancel: with s = v sin(theta) and r = L2/L1,
+
+      I_ab = g((1 + r)/(2s)) - g(r/(2s)) - g(1/(2s)),
+
+  so the kernel takes only the geometry's ratios.  The small-v form
   1 - ln(2 s) drops the remainder
 
       I_ab - (1 - ln 2s) = -ln(1 + L1/L2)
@@ -190,9 +196,16 @@ def segment_J_ab_closed(
             f"ell = {ell:.12g} must lie below 2 L1 = {2.0 * geom.L1:.12g}: the vertex "
             "excision half-width ell/(2v) must lie below T1 = L1/v"
         )
-    # the speed cancels: with d = ell/(2v) the ratio is the same in lengths
-    h = 0.5 * ell
-    return log_ratio((geom.L1 + h, geom.L2 + h), (ell, geom.L1 + geom.L2))
+    # the speed cancels: with d = ell/(2v) the ratio is the same in lengths,
+    # (L1 + ell/2)(L2 + ell/2)/(ell (L1 + L2)); it is split into ratios so
+    # that no sum of lengths is formed, since L1 + L2 can overflow
+    L1, L2 = geom.L1, geom.L2
+    return (
+        log_ratio((L1,), (ell,))
+        + math.log1p(0.5 * (ell / L1))
+        + math.log1p(0.5 * (ell / L2))
+        - math.log1p(L1 / L2)
+    )
 
 
 def segment_J_straight(L: float, ell: float, v: float, kappa: float) -> float:
@@ -288,17 +301,19 @@ def segment_I_aa(geom: IntersectingGeometry, ell: float, *, method: str = "close
     return res.value
 
 
-def _corner_G(u: float, c: float) -> float:
-    """Second antiderivative of 1/(u^2 - c^2) for u > 0, c > 0 (see I_ab).
+def _corner_h(x: float) -> float:
+    """g(a) + ln a at a = 1/x, for a corner's ratio x = c/u in [0, 2) (see I_ab).
 
-    Well above the pole it is written through atanh, so that no
-    cancellation is left for c << u; within a factor 2 of it the log form
-    loses nothing.
+    Above a = 2 it is written in x, through atanh, so that it forms no a
+    and keeps its digits as x -> 0, where it tends to -1; within a factor 2
+    of the pole the log form in a loses nothing.
     """
-    if u > 2.0 * c:
-        return -(u / c) * math.atanh(c / u) - 0.5 * math.log((u - c) * (u + c))
-    d = u - c
-    return ((d * math.log(abs(d)) if d else 0.0) - (u + c) * math.log(u + c)) / (2.0 * c)
+    if x < 0.5:
+        return (-math.atanh(x) / x if x else -1.0) - 0.5 * math.log1p(-x * x)
+    a = 1.0 / x
+    d = a - 1.0
+    g = 0.5 * ((d * math.log(abs(d)) if d else 0.0) - (a + 1.0) * math.log(a + 1.0))
+    return g + math.log(a)
 
 
 def segment_I_ab(geom: IntersectingGeometry, *, method: str = "closed") -> float:
@@ -306,16 +321,22 @@ def segment_I_ab(geom: IntersectingGeometry, *, method: str = "closed") -> float
 
     closed: 1 - ln(2 v sin(theta)), the small-v form.  exact: the
     four-corner sum of the principal-value double integral (module
-    docstring), to rounding.
+    docstring), to rounding, for every geometry IntersectingGeometry
+    accepts.
     """
     if method == "closed":
         return 1.0 - log_ratio((2.0, geom.v, math.sin(geom.theta)))
     if method != "exact":
         raise ValueError(f"unknown method: {method!r}")
-    T1, T2 = geom.T1, geom.T2
-    c = 2.0 * T1 * (geom.v * math.sin(geom.theta))
-    # G(0) = -ln c
-    return _corner_G(T1 + T2, c) - _corner_G(T2, c) - _corner_G(T1, c) - math.log(c)
+    # g(a) = _corner_h(1/a) - ln a at a = (1 + r)/(2s), r/(2s) and 1/(2s);
+    # in q = 1/r = L1/L2 < 1 each 1/a stays finite, and the three ln a
+    # leave -ln(1 + q) - ln(2s)
+    sin = math.sin(geom.theta)
+    s = geom.v * sin
+    q = geom.L1 / geom.L2
+    x2 = 2.0 * s * q
+    corners = _corner_h(x2 / (1.0 + q)) - _corner_h(x2) - _corner_h(2.0 * s)
+    return corners - math.log1p(q) - log_ratio((2.0, geom.v, sin))
 
 
 def segment_I_bb(geom: IntersectingGeometry) -> float:

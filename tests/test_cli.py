@@ -361,6 +361,23 @@ class TestIntersectCommand:
         assert (rc, out) == (2, "")
         assert "(L1 + L2)/v overflows at L1 = 1e+306, L2 = 1.79e+308, v = 0.999" in err
 
+    def test_assembled_cross_kernels_hold_past_squared_flight_times(self, capsys):
+        # (L2/v)^2 overflows; the exact I_ab once printed nan here
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--L2", "2e156"])
+        assert (rc, err) == (0, "")
+        assert "I_ab = 5.64717436813\n" in out
+        assert "w_total = 0.0311917247965\n" in out
+
+    def test_assembled_numeric_I_aa_over_its_error_budget_exits_3(self, capsys):
+        # the numeric I_aa's absolute tolerances are in flight-time units, so
+        # a geometry scaled up by 1e10 ends on its 1%-of-value check
+        start = time.perf_counter()
+        rc, out, err = _run(capsys, ["intersect", "--branch", "assembled", "--L1", "1e12",
+                                     "--L2", "1e14"])
+        assert (rc, out) == (3, "")
+        assert "exceeds the oracle budget" in err
+        assert time.perf_counter() - start < 10.0
+
     def test_assembled_branch_agrees_with_closed(self, capsys):
         rc_c, out_c, _ = _run(capsys, ["intersect"])
         rc_a, out_a, _ = _run(capsys, ["intersect", "--branch", "assembled"])
@@ -553,6 +570,36 @@ class TestConfigAndOutput:
         rc, _, err = _run(capsys, ["parallel", "--config", str(cfg)])
         assert rc == 2
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize(
+        "command, line, allowed",
+        [
+            ("validity", "unit = km", "'m', 'mm', 'nm', 'um'"),
+            ("kappa-sweep", "shape = cube", "'cylinder', 'sphere'"),
+            ("intersect", "shape = cube", "'cylinder', 'sphere'"),
+            ("parallel", "sweep = X", "'T'"),
+        ],
+        ids=["validity-unit", "kappa-sweep-shape", "intersect-shape", "parallel-sweep"],
+    )
+    def test_config_value_outside_the_choices_exits_2(self, capsys, tmp_path, command, line,
+                                                      allowed):
+        # argparse checks choices only on the command line: these once ran a
+        # cylinder, a T sweep, printed a bare header or a KeyError traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        key, value = (part.strip() for part in line.split("="))
+        assert err == f"error: config key {key!r} wants one of {allowed}, got {value!r}\n"
+
+    @pytest.mark.parametrize("line", ["help = yes", "suite = kernels"])
+    def test_config_key_without_a_flag_exits_2(self, capsys, tmp_path, line):
+        # --help and verify's positional suite take no value from a file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, out, err = _run(capsys, ["parallel", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: unknown config key: {line.split(' = ')[0]!r}\n"
 
     def test_removed_rel_tol_config_key_exits_2(self, capsys, tmp_path):
         # every quadrature runs at the tolerance its module states

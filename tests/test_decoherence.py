@@ -24,10 +24,8 @@ from edecoh.decoherence import (
     check_regime,
     interference_pattern,
     max_flight_distance,
-    w_photon_parallel,
     w_total_intersecting,
     w_total_parallel,
-    w_vacuum_parallel,
 )
 from edecoh.kernels import K_EQUAL_ARGS_LIMIT, segment_J_ab_closed, segment_J_straight
 
@@ -94,45 +92,46 @@ class TestInputs:
 class TestParallel:
     def test_vacuum_zero_bracket(self):
         geom = ParallelGeometry(r0=1.0, T=1.0, v=0.1)
-        assert w_vacuum_parallel(geom, 2.0, 1.0) == 0.0
+        assert w_total_parallel(geom, 2.0, 1.0).w_vacuum == 0.0
         # T = ell here, which the regime notes report
         notes = check_regime(geom, 1.0)
         assert "flight time T is within a factor 10 of the wavepacket size" in notes
 
     def test_vacuum_sphere_value(self):
         geom = ParallelGeometry(r0=10.0, T=100.0, v=0.1)
-        val = w_vacuum_parallel(geom, -1.5, 1.0)
+        val = w_total_parallel(geom, -1.5, 1.0).w_vacuum
         expect = ALPHA / math.pi * (3.5 + 2.0 * math.log(100.0))
         assert math.isclose(val, expect, rel_tol=1e-14)
         assert abs(val - 0.029527) < 1e-5
 
     def test_vacuum_positive_in_typical_regime(self):
         geom = ParallelGeometry(r0=10.0, T=1000.0, v=0.1)
-        assert w_vacuum_parallel(geom, -1.5, 1.0) > 0.0
+        assert w_total_parallel(geom, -1.5, 1.0).w_vacuum > 0.0
 
     @pytest.mark.parametrize("ratio", [50.0, 200.0])
     def test_photon_modes_agree_asymptotically(self, ratio):
         # the exact kernel against its long-time form -2 (alpha/pi) [1 + ln(T/r0)]
         geom = ParallelGeometry(r0=1.0, T=ratio, v=0.1)
-        exact = w_photon_parallel(geom)
+        exact = w_total_parallel(geom, *SPHERE_ELL_1).w_photon
         asym = -2.0 * ALPHA / math.pi * (1.0 + math.log(ratio))
         assert abs(exact - asym) <= 0.01 * abs(exact)
 
     def test_photon_negative_beyond_crossover(self):
         for T in (0.5, 1.0, 40.0):
             geom = ParallelGeometry(r0=1.0, T=T, v=0.1)
-            assert w_photon_parallel(geom) < 0.0
-            assert math.exp(w_photon_parallel(geom)) <= 1.0
+            w_photon = w_total_parallel(geom, *SPHERE_ELL_1).w_photon
+            assert w_photon < 0.0
+            assert math.exp(w_photon) <= 1.0
 
     def test_photon_degenerate_point(self):
-        val = w_photon_parallel(ParallelGeometry(r0=2.0, T=2.0, v=0.1))
+        val = w_total_parallel(ParallelGeometry(r0=2.0, T=2.0, v=0.1), *SPHERE_ELL_1).w_photon
         assert val == ALPHA / math.pi * K_EQUAL_ARGS_LIMIT
 
     def test_vacuum_photon_cancel_at_matched_scales(self):
         # r0 = ell and kappa = 0 make W vanish in the asymptotic regime; the
         # exact kernel leaves the remainder (alpha/pi) (r0/T)^2 / 3 + O((r0/T)^4)
         geom = ParallelGeometry(r0=3.0, T=3000.0, v=0.1)
-        total = w_vacuum_parallel(geom, 0.0, 3.0) + w_photon_parallel(geom)
+        total = w_total_parallel(geom, 0.0, 3.0).w_total
         assert total == pytest.approx(ALPHA / math.pi * 1e-6 / 3.0, rel=1e-5)
 
     def test_total_plateau_value(self):
@@ -162,7 +161,7 @@ class TestParallel:
         via_kernel = (
             -0.5 * ALPHA / math.pi * 2.0 * segment_J_straight(geom.v * geom.T, 2.0, geom.v, -1.5)
         )
-        assert math.isclose(w_vacuum_parallel(geom, -1.5, 2.0), via_kernel, rel_tol=1e-13)
+        assert math.isclose(w_total_parallel(geom, -1.5, 2.0).w_vacuum, via_kernel, rel_tol=1e-13)
 
 
 THETA_NEAR_RIGHT = 0.5 * math.pi * (1.0 - 1e-12)

@@ -6,8 +6,9 @@ integral, the cross static kernel against the elementary double integral
 over the two excised segments, and the radiation kernels against
 one-integral oracles (tests/conftest.py) in their small-speed regime.  The
 exact four-corner I_ab is held against its principal value in u = t' - t
-and against a 50-digit mpmath evaluation of the same corners; the I_aa
-oracle is held against a 50-digit mpmath value of its dilogarithm form.
+and against an mpmath evaluation of the same corners, the exact J_ab
+against an mpmath evaluation of its log, and the I_aa oracle against a
+50-digit mpmath value of its dilogarithm form.
 """
 
 from __future__ import annotations
@@ -44,10 +45,17 @@ def _geom(L1=1.0, L2=100.0, theta=0.5, v=0.1) -> IntersectingGeometry:
 
 
 def _I_ab_mpmath(mpmath, geom: IntersectingGeometry):
-    """Four-corner sum of I_ab in the plain log form, at 50 digits."""
-    with mpmath.workdps(50):
-        T1, T2 = mpmath.mpf(geom.T1), mpmath.mpf(geom.T2)
-        c = 2 * T1 * mpmath.mpf(geom.v) * mpmath.sin(mpmath.mpf(geom.theta))
+    """Four-corner sum of I_ab in the plain log form, from the exact lengths.
+
+    The corner terms cancel to the pole c over the largest corner u, so the
+    sum runs at 50 digits more than u/c has decades.
+    """
+    L1, L2, theta, v = (mpmath.mpf(x) for x in (geom.L1, geom.L2, geom.theta, geom.v))
+    with mpmath.workdps(30):
+        decades = int(mpmath.log10((L1 + L2) / (2 * L1 * v * mpmath.sin(theta))))
+    with mpmath.workdps(50 + max(decades, 0)):
+        T1, T2 = L1 / v, L2 / v
+        c = 2 * T1 * v * mpmath.sin(theta)
 
         def G(u):
             if u == 0:
@@ -207,6 +215,21 @@ class TestStaticKernels:
         assert oracle.converged
         assert math.isclose(segment_J_ab_closed(geom, ell), oracle.value, rel_tol=1e-8)
 
+    @pytest.mark.parametrize(
+        "L1, L2, ell",
+        [(1.0, 40.0, 0.01), (100.0, 1e4, 1.0), (3.0, 4.0, 5.0), (1e306, 1.79e308, 1.0)],
+    )
+    def test_J_ab_exact_vs_mpmath(self, L1, L2, ell):
+        # ln[(L1 + ell/2)(L2 + ell/2)/(ell (L1 + L2))]; in the last geometry
+        # L1 + L2 overflows
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            L1m, L2m, ellm = (mpmath.mpf(x) for x in (L1, L2, ell))
+            h = ellm / 2
+            ref = float(mpmath.log((L1m + h) * (L2m + h) / (ellm * (L1m + L2m))))
+        geom = _geom(L1=L1, L2=L2, theta=1.5, v=0.999)
+        assert math.isclose(segment_J_ab_closed(geom, ell), ref, rel_tol=1e-13)
+
     def test_J_ab_asymptotic(self):
         assert segment_J_ab_closed(_geom(), 1.0, asymptotic=True) == 0.0
         geom2 = _geom(L1=5.0, L2=500.0)
@@ -290,7 +313,17 @@ class TestRadiationKernels:
         ]
         # v sin(theta) > 1/2 puts the pole c above the corner u = T1, and
         # 2 L1 v sin(theta) > L2 above u = T2 as well
-        + [(1.0, L2, theta, 0.9) for theta in (0.59, 0.6, 1.2) for L2 in (1.05, 1.6, 100.0)],
+        + [(1.0, L2, theta, 0.9) for theta in (0.59, 0.6, 1.2) for L2 in (1.05, 1.6, 100.0)]
+        # the flight times, their sum or the corners' products leave the
+        # float range
+        + [
+            (100.0, 2e156, 0.5, 0.01),
+            (100.0, 1e300, 0.5, 1e-5),
+            (1e306, 1e307, 1.5, 0.999),
+            (1e306, 1.79e308, 1.5, 0.999),
+            (1e-300, 1e-298, 0.5, 0.5),
+            (1e-300, 1e300, 0.5, 0.01),
+        ],
     )
     def test_I_ab_exact_vs_mpmath(self, L1, L2, theta, v):
         # written naively, the corner terms cancel for c << u: at v = 1e-9
